@@ -219,6 +219,8 @@ def _parse_pair(spec: str) -> RecurrenceParams:
 
 
 def _cmd_verify(args) -> int:
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     grid: list[RecurrenceParams] = []
     explicit = False
     if args.grid is not None:

@@ -2,10 +2,14 @@
 
 The construction fixes the eigenvector templates x = (alpha, beta, -1) and
 y = (beta, alpha, -1) for the two nonzero eigenvalues and lets the kernel
-eigenvector z = t * signs vary over sign patterns.  Solving the nine linear
-eigen-equations row by row over Q(sqrt(D)) produces a matrix A with rational
-entries; the rank-one projector E = P * diag(0, 0, 1) * P^(-1) onto the
-kernel direction then gives the closed form
+eigenvector z = t * signs vary over sign patterns.  The plane of x and y is
+also spanned by the rational vectors u = x + y and v = (x - y)/sqrt(D), so A
+is solved over Q as A = R * B^(-1) with B = [u v z] and R the images of
+u, v, z under A, which are known from the eigenvalues.  The matrix is
+degenerate exactly when r*s3 + s1 + s2 = 0 for signs (s1, s2, s3).  The
+rank-one projector E = B * diag(0, 0, 1) * B^(-1) onto the kernel direction
+(equal to P * diag(0, 0, 1) * P^(-1) for the eigenvector matrix P) then
+gives the closed form
 
     A^n = h(n) * A + s * h(n-1) * (I - E)
 
@@ -24,12 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DegenerateEigenbasisError,
-    DomainError,
-    PatternNotSupportedError,
-)
-from .exact import QuadElem, RationalLike, as_fraction
+from .errors import DegenerateEigenbasisError, DomainError, HoradamError
+from .exact import RationalLike, as_fraction
 from .matrices import Matrix
 from .sequences import fast_gen_fib, gen_fib, roots
 
@@ -103,13 +103,15 @@ def derive(
     pattern: KernelPattern,
     t: RationalLike = 1,
 ) -> DerivedSystem:
-    """Solve for the 3x3 matrix with eigenpairs (alpha, x), (beta, y), (0, z).
+    """Build the 3x3 matrix with eigenpairs (alpha, x), (beta, y), (0, z).
 
-    Each row of A satisfies three linear equations (one per eigenpair);
-    they are solved exactly over Q(sqrt(D)) and the result is asserted to
-    be rational.  The kernel scale t has no effect on A or E (z enters only
-    through its direction); it is accepted so that independence can be
-    demonstrated.
+    A is solved over Q on the rational basis B = [u v z] with
+    u = x + y = (r, r, -2), v = (x - y)/sqrt(D) = (1, -1, 0) and z = t * signs.
+    Since det P = -(sqrt(D)/2) * det B and det B = -2t(r*s3 + s1 + s2) for
+    signs (s1, s2, s3), the eigenvectors are dependent exactly when
+    r*s3 + s1 + s2 = 0, which raises DegenerateEigenbasisError.  The kernel
+    scale t has no effect on A or E (z enters only through its direction);
+    it is accepted so that independence can be demonstrated.
     """
     r = as_fraction(r)
     s = as_fraction(s)
@@ -118,55 +120,26 @@ def derive(
         raise DomainError("kernel scale t must be nonzero")
     validity = _check_variant_domain(r, pattern)
     alpha, beta = roots(r, s)
-    disc = alpha.disc
-    minus_one = QuadElem.from_rational(-1, disc)
-    x = (alpha, beta, minus_one)
-    y = (beta, alpha, minus_one)
-    z = tuple(QuadElem.from_rational(t * sign, disc) for sign in pattern.signs)
+    z = [t * sign for sign in pattern.signs]
 
-    p = Matrix([[x[i], y[i], z[i]] for i in range(3)])
-    if p.det() == 0:
+    basis = Matrix([[r, 1, z[0]], [r, -1, z[1]], [-2, 0, z[2]]])
+    if basis.det() == 0:
         raise DegenerateEigenbasisError(
             f"eigenvectors are linearly dependent for r={r}, s={s}, pattern {pattern}"
         )
-
-    # Row i of A solves M * row^T = (alpha*x_i, beta*y_i, 0) with M = P^T.
-    system_inv = p.transpose().inverse()
-    zero = QuadElem.zero(disc)
-    a_rows = []
-    for i in range(3):
-        rhs = Matrix.column([alpha * x[i], beta * y[i], zero])
-        solution = system_inv * rhs
-        a_rows.append([solution[j, 0] for j in range(3)])
-    a_quad = Matrix(a_rows)
-    if not a_quad.is_rational():
-        raise PatternNotSupportedError(
-            f"pattern {pattern} does not produce a rational matrix at r={r}, s={s}"
-        )
-
-    diag_001 = Matrix([
-        [zero, zero, zero],
-        [zero, zero, zero],
-        [zero, zero, QuadElem.one(disc)],
-    ])
-    e_quad = p * diag_001 * p.inverse()
-    if not e_quad.is_rational():
-        raise PatternNotSupportedError(
-            f"pattern {pattern} does not produce a rational projector at r={r}, s={s}"
-        )
-
-    a = Matrix(a_quad.to_fraction_rows())
-    e = Matrix(e_quad.to_fraction_rows())
-
-    # The solved rows must reproduce the eigen-equations exactly.
-    for value, vec in ((alpha, x), (beta, y), (zero, z)):
-        column = Matrix.column(vec)
-        assert a * column == value * column
+    # Columns: A*u = alpha*x + beta*y, A*v = (alpha*x - beta*y)/sqrt(D), A*z = 0.
+    images = Matrix([[r * r + 2 * s, r, 0], [-2 * s, 0, 0], [-r, -1, 0]])
+    basis_inv = basis.inverse()
+    a = images * basis_inv
+    if a * basis != images:
+        raise HoradamError(f"derived matrix fails its eigen-equations at r={r}, s={s}")
+    # E = B * diag(0, 0, 1) * B^(-1): column z times the last row of B^(-1).
+    e = Matrix.column(z) * Matrix([basis_inv.rows[2]])
 
     return DerivedSystem(
         matrix=a,
         projector=e,
-        eigenvectors=p,
+        eigenvectors=Matrix([[alpha, beta, z[0]], [beta, alpha, z[1]], [-1, -1, z[2]]]),
         r=r,
         s=s,
         pattern=pattern,

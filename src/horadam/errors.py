@@ -13,9 +13,5 @@ class DegenerateEigenbasisError(DomainError):
     """The requested eigenvector templates are linearly dependent (det P = 0)."""
 
 
-class PatternNotSupportedError(HoradamError, ValueError):
-    """A derived matrix entry left the rational field for this kernel pattern."""
-
-
 class SingularMatrixError(HoradamError, ZeroDivisionError):
     """Attempted to invert a matrix whose determinant is zero."""

@@ -30,12 +30,6 @@ def _one_like(value: Scalar) -> Scalar:
     return Fraction(1)
 
 
-def _scalar_inverse(value: Scalar) -> Scalar:
-    if isinstance(value, QuadElem):
-        return value.inverse()
-    return 1 / value
-
-
 class Matrix:
     """An immutable matrix of exact scalars."""
 
@@ -188,7 +182,7 @@ class Matrix:
         d = self.det()
         if d == 0:
             raise SingularMatrixError("matrix is singular")
-        inv_det = _scalar_inverse(d)
+        inv_det = 1 / d
         n = self.nrows
         if n == 1:
             return Matrix([[inv_det]])
@@ -208,18 +202,6 @@ class Matrix:
         # adjugate = transpose of the cofactor matrix
         return Matrix(
             [[cof[j][i] * inv_det for j in range(3)] for i in range(3)]
-        )
-
-    def is_rational(self) -> bool:
-        return all(
-            not isinstance(e, QuadElem) or e.is_rational
-            for row in self._rows for e in row
-        )
-
-    def to_fraction_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(
-            tuple(e.to_fraction() if isinstance(e, QuadElem) else e for e in row)
-            for row in self._rows
         )
 
 

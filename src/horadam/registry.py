@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import os
+import stat
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -107,14 +109,31 @@ def resolve(name: str, path: Path | None) -> RegistryEntry:
 
 
 def upsert_entry(path: Path, entry: RegistryEntry) -> None:
-    """Add or replace ``entry`` in the user registry file at ``path``."""
+    """Add or replace ``entry`` in the user registry file at ``path``.
+
+    Every existing record must parse as :func:`load_registry` would read it.
+    The file is replaced atomically, so a failed write leaves it unchanged.
+    """
     records: list[dict] = []
+    mode = 0o644
     if path.exists():
         raw = json.loads(path.read_text())
         if not isinstance(raw, list):
             raise ValueError("registry file must contain a JSON array")
-        records = [r for r in raw if str(r.get("name", "")).lower() != entry.name.lower()]
+        records = [r for r in raw
+                   if _parse_entry(r, source="user").name.lower() != entry.name.lower()]
+        mode = stat.S_IMODE(path.stat().st_mode)
     record = entry.to_dict()
     del record["source"]
     records.append(record)
-    path.write_text(json.dumps(records, indent=2) + "\n")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(json.dumps(records, indent=2) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.chmod(tmp, mode)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

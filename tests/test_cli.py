@@ -34,6 +34,48 @@ def flatten(value, prefix=""):
         yield prefix, value
 
 
+#: Full `derive` results, pinned byte for byte: (r, s, pattern, results).
+DERIVE_GOLDEN = [
+    ("1", "1", "+-+", {
+        "matrix": [["1", "0", "-1"], ["-1", "-1", "0"], ["0", "1", "1"]],
+        "projector": [["1", "1", "1"], ["-1", "-1", "-1"], ["1", "1", "1"]],
+        "eigenvectors": [
+            ["1/2 + 1/2*sqrt(5)", "1/2 - 1/2*sqrt(5)", "1"],
+            ["1/2 - 1/2*sqrt(5)", "1/2 + 1/2*sqrt(5)", "-1"],
+            ["-1", "-1", "1"],
+        ],
+        "alpha": "1/2 + 1/2*sqrt(5)",
+        "beta": "1/2 - 1/2*sqrt(5)",
+        "validity": "r != 0",
+        "reference": {"name": "fibonacci", "matches": True, "mismatches": []},
+    }),
+    ("3", "1", "+++", {
+        "matrix": [["13/5", "-2/5", "-11/5"], ["-1/5", "-1/5", "2/5"], ["-4/5", "1/5", "3/5"]],
+        "projector": [["1/5", "1/5", "3/5"], ["1/5", "1/5", "3/5"], ["1/5", "1/5", "3/5"]],
+        "eigenvectors": [
+            ["3/2 + 1/2*sqrt(13)", "3/2 - 1/2*sqrt(13)", "1"],
+            ["3/2 - 1/2*sqrt(13)", "3/2 + 1/2*sqrt(13)", "1"],
+            ["-1", "-1", "1"],
+        ],
+        "alpha": "3/2 + 1/2*sqrt(13)",
+        "beta": "3/2 - 1/2*sqrt(13)",
+        "validity": "det(P) != 0 for the supplied pattern",
+    }),
+    ("7/3", "-1", "++-", {
+        "matrix": [["19/3", "4", "31/3"], ["3", "3", "6"], ["-4", "-3", "-7"]],
+        "projector": [["-3", "-3", "-7"], ["-3", "-3", "-7"], ["3", "3", "7"]],
+        "eigenvectors": [
+            ["7/6 + 1/2*sqrt(13/9)", "7/6 - 1/2*sqrt(13/9)", "1"],
+            ["7/6 - 1/2*sqrt(13/9)", "7/6 + 1/2*sqrt(13/9)", "1"],
+            ["-1", "-1", "-1"],
+        ],
+        "alpha": "7/6 + 1/2*sqrt(13/9)",
+        "beta": "7/6 - 1/2*sqrt(13/9)",
+        "validity": "r not in {0, 2}",
+    }),
+]
+
+
 class TestSeq:
     def test_fibonacci_window(self, capsys):
         record = run_json(capsys, "seq", "fibonacci", "0..10")
@@ -134,6 +176,18 @@ class TestDerive:
         assert record["results"]["alpha"] == "1/2 + 1/2*sqrt(5)"
         assert record["results"]["beta"] == "1/2 - 1/2*sqrt(5)"
 
+    @pytest.mark.parametrize("r,s,pattern,results", DERIVE_GOLDEN,
+                             ids=[f"{r},{s},{p}" for r, s, p, _ in DERIVE_GOLDEN])
+    def test_golden_record(self, capsys, r, s, pattern, results):
+        code, out, err = run_cli(capsys, "derive", "--r", r, "--s", s, f"--pattern={pattern}")
+        record = {
+            "command": "derive",
+            "params": {"r": r, "s": s, "pattern": pattern, "t": "1", "n": None},
+            "results": results,
+        }
+        assert code == 0 and err == ""
+        assert out == json.dumps(record, indent=2) + "\n"
+
 
 class TestVerify:
     def test_defaults_pass(self, capsys):
@@ -170,6 +224,12 @@ class TestVerify:
     def test_malformed_grid(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--grid", "1,2,3")
         assert code == 2
+
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_n_max_below_one_is_usage_error(self, capsys, n_max):
+        code, out, err = run_cli(capsys, "verify", "--params", "1,1", "--n-max", n_max)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--n-max" in err
 
 
 class TestBench:
@@ -244,6 +304,15 @@ class TestRegistryCommand:
                  "--registry", path)
         seq = run_json(capsys, "seq", "fibonacci", "0..3", "--registry", path)
         assert [v["value"] for v in seq["results"]["values"]] == ["5", "5", "10", "15"]
+
+    def test_add_to_array_of_non_objects(self, capsys, tmp_path):
+        path = tmp_path / "reg.json"
+        path.write_text("[1]")
+        code, out, err = run_cli(capsys, "registry", "add", "x", "--r", "1", "--s", "1",
+                                 "--registry", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert path.read_text() == "[1]"
 
     def test_add_without_target(self, capsys, monkeypatch):
         monkeypatch.delenv("HORADAM_REGISTRY", raising=False)

@@ -26,8 +26,14 @@ from horadam import (
 P1 = KernelPattern.from_string("+-+")
 P2 = KernelPattern.from_string("++-")
 P3 = KernelPattern.from_string("-++")
+# The three variant patterns first, so their parametrize ids stay pattern0..pattern2.
+ALL_PATTERNS = [P1, P2, P3] + [
+    KernelPattern.from_string(text) for text in ("+++", "+--", "-+-", "--+", "---")
+]
 
 GRID = [(1, 1), (2, 1), (1, 2), (6, -1), (3, 2), (5, 3)]
+#: r values each variant pattern's preset domain rejects with a plain DomainError.
+PRESET_EXCLUDED = {"+-+": (0,), "-++": (0,), "++-": (0, 2)}
 FRACTIONAL_GRID = [
     (Fraction(1, 2), Fraction(1)),
     (Fraction(-3), Fraction(2)),
@@ -90,8 +96,8 @@ class TestDerive:
         if Fraction(r) != 2:
             assert derive(r, s, P2).matrix == preset_matrix(2, r, s)
 
-    @pytest.mark.parametrize("pattern", [P1, P2, P3])
-    @pytest.mark.parametrize("r,s", [(1, 1), (3, 2), (5, 3), (6, -1)])
+    @pytest.mark.parametrize("pattern", ALL_PATTERNS)
+    @pytest.mark.parametrize("r,s", [(1, 1), (3, 2), (5, 3), (6, -1), FRACTIONAL_GRID[2]])
     def test_eigen_residuals(self, r, s, pattern):
         assert eigen_residuals_zero(derive(r, s, pattern))
 
@@ -129,10 +135,22 @@ class TestDerive:
         with pytest.raises(DomainError):
             derive(3, 2, P1, t=0)
 
-    def test_degenerate_eigenbasis(self):
-        # with signs (+,+,+) the eigenvectors are dependent exactly at r = -2
-        with pytest.raises(DegenerateEigenbasisError):
-            derive(-2, 3, KernelPattern.from_string("+++"))
+    @pytest.mark.parametrize("text", [str(p) for p in ALL_PATTERNS])
+    def test_degenerate_eigenbasis(self, text):
+        # det B = -2t(r*s3 + s1 + s2): the eigenvectors are dependent exactly when
+        # r*s3 + s1 + s2 = 0, checked wherever the preset domain does not reject r first
+        pattern = KernelPattern.from_string(text)
+        s1, s2, s3 = pattern.signs
+        for r in [Fraction(n, 2) for n in range(-6, 7)]:
+            if r in PRESET_EXCLUDED.get(text, ()):
+                with pytest.raises(DomainError) as info:
+                    derive(r, 3, pattern)
+                assert type(info.value) is DomainError
+            elif r * s3 + s1 + s2 == 0:
+                with pytest.raises(DegenerateEigenbasisError):
+                    derive(r, 3, pattern)
+            else:
+                assert eigen_residuals_zero(derive(r, 3, pattern))
 
     def test_other_patterns_still_derive(self):
         system = derive(3, 1, KernelPattern.from_string("+++"))

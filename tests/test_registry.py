@@ -81,6 +81,20 @@ class TestUserRegistry:
         assert entries["custom"].b == 9
         assert len(json.loads(path.read_text())) == 1
 
+    def test_upsert_failed_replace_leaves_file_unchanged(self, tmp_path, monkeypatch):
+        path = tmp_path / "registry.json"
+        upsert_entry(path, RegistryEntry("old", Fraction(0), Fraction(1), Fraction(1), Fraction(1)))
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("simulated failure")
+
+        monkeypatch.setattr("horadam.registry.os.replace", failing_replace)
+        with pytest.raises(OSError):
+            upsert_entry(path, RegistryEntry("new", Fraction(0), Fraction(1), Fraction(2), Fraction(1)))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["registry.json"]
+
 
 class TestRegistryPath:
     def test_explicit_beats_env(self, monkeypatch, tmp_path):
