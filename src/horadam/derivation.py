@@ -31,7 +31,7 @@ from fractions import Fraction
 from .errors import DegenerateEigenbasisError, DomainError, HoradamError
 from .exact import RationalLike, as_fraction
 from .matrices import Matrix
-from .sequences import fast_gen_fib, gen_fib, roots
+from .sequences import fast_gen_fib, h_window, roots  # noqa: F401  (perfbench reaches derivation.fast_gen_fib)
 
 
 @dataclass(frozen=True)
@@ -151,9 +151,13 @@ def closed_power(system: DerivedSystem, n: int) -> Matrix:
     """A^n evaluated as h(n)*A + s*h(n-1)*(I - E), no matrix products."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    h_prev, h_n = fast_gen_fib(system.r, system.s, n - 1)
-    identity = Matrix.identity(3)
-    return h_n * system.matrix + (system.s * h_prev) * (identity - system.projector)
+    return closed_power_from_window(system, h_window(system.r, system.s, n))
+
+
+def closed_power_from_window(system: DerivedSystem, h: tuple) -> Matrix:
+    """h(n)*A + s*h(n-1)*(I - E) for h the window of :func:`h_window` at n."""
+    complement = Matrix.identity(3) - system.projector
+    return h[3] * system.matrix + (system.s * h[2]) * complement
 
 
 def preset_matrix(variant: int, r: RationalLike, s: RationalLike) -> Matrix:
@@ -198,7 +202,12 @@ def power_form(variant: int, r: RationalLike, s: RationalLike, n: int) -> Matrix
     if s == 0:
         raise DomainError("the entrywise power form requires s != 0")
     _check_variant_domain(r, VARIANT_PATTERNS[variant])
-    h_nm2, h_nm1, h_n, h_np1, h_np2 = _window(r, s, n)
+    return power_form_from_window(variant, r, s, h_window(r, s, n))
+
+
+def power_form_from_window(variant: int, r: Fraction, s: Fraction, h: tuple) -> Matrix:
+    """The entrywise power form for h the window of :func:`h_window` at n."""
+    _, h_nm2, h_nm1, h_n, h_np1, h_np2 = h
     if variant == 1:
         scale = 1 / r
         rows = [
@@ -227,18 +236,6 @@ def _require_variant(variant: int) -> int:
     if variant not in VARIANT_PATTERNS:
         raise ValueError(f"variant must be one of {sorted(VARIANT_PATTERNS)}, got {variant}")
     return variant
-
-
-def _window(r: Fraction, s: Fraction, n: int) -> tuple[Fraction, ...]:
-    """(h(n-2), ..., h(n+2)); backward values via h(k) = (h(k+2) - r*h(k+1))/s."""
-    if n >= 2:
-        lo, hi = fast_gen_fib(r, s, n - 2)
-        window = [lo, hi]
-        for _ in range(3):
-            lo, hi = hi, r * hi + s * lo
-            window.append(hi)
-        return tuple(window)
-    return tuple(gen_fib(r, s, k) for k in range(n - 2, n + 3))
 
 
 @dataclass(frozen=True)
@@ -298,25 +295,39 @@ def reference_power(name: str, n: int) -> Matrix:
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    r, s = _classic_params(name)
+    return reference_power_from_window(name, h_window(r, s, n))
+
+
+def reference_power_from_window(name: str, h: tuple) -> Matrix:
+    """The tabulated power form for h the window of :func:`h_window` at n,
+    taken over the named system's own (r, s)."""
     if name == "fibonacci":
-        f = {k: gen_fib(1, 1, k) for k in range(n - 3, n + 2)}
+        f_nm3, f_nm2, f_nm1, f_n, f_np1, _ = h
         return Matrix([
-            [f[n], -f[n - 1], -f[n + 1]],
-            [-f[n - 2], f[n - 3], f[n - 1]],
-            [-f[n - 1], f[n - 2], f[n]],
+            [f_n, -f_nm1, -f_np1],
+            [-f_nm2, f_nm3, f_nm1],
+            [-f_nm1, f_nm2, f_n],
         ])
     if name == "pell":
-        p = {k: gen_fib(2, 1, k) for k in range(n - 2, n + 3)}
+        _, p_nm2, p_nm1, p_n, p_np1, p_np2 = h
         return Fraction(1, 2) * Matrix([
-            [p[n + 2] - p[n + 1], -(p[n + 1] - p[n]), -2 * p[n + 1]],
-            [-(p[n] - p[n - 1]), p[n - 1] - p[n - 2], 2 * p[n - 1]],
-            [-(p[n + 1] - p[n]), p[n] - p[n - 1], p[n]],
+            [p_np2 - p_np1, -(p_np1 - p_n), -2 * p_np1],
+            [-(p_n - p_nm1), p_nm1 - p_nm2, 2 * p_nm1],
+            [-(p_np1 - p_n), p_n - p_nm1, p_n],
         ])
     if name == "jacobsthal":
-        j = {k: gen_fib(1, 2, k) for k in range(n - 2, n + 2)}
+        _, j_nm2, j_nm1, j_n, j_np1, _ = h
         return Matrix([
-            [2 * j[n], -(j[n + 1] - 2 * j[n]), -j[n + 1]],
-            [-4 * j[n - 2], 2 * (j[n - 1] - 2 * j[n - 2]), 2 * j[n - 1]],
-            [-2 * j[n - 1], j[n] - 2 * j[n - 1], j[n]],
+            [2 * j_n, -(j_np1 - 2 * j_n), -j_np1],
+            [-4 * j_nm2, 2 * (j_nm1 - 2 * j_nm2), 2 * j_nm1],
+            [-2 * j_nm1, j_n - 2 * j_nm1, j_n],
         ])
+    raise ValueError(f"unknown classic system {name!r}")
+
+
+def _classic_params(name: str) -> tuple[int, int]:
+    for classic, r, s in _CLASSIC_PARAMS:
+        if classic == name:
+            return r, s
     raise ValueError(f"unknown classic system {name!r}")

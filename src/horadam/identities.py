@@ -6,6 +6,16 @@ checks over a parameter grid; checks whose hypotheses a parameter pair
 violates are recorded as skipped, and comparisons against tabulated
 reference matrices that are known to disagree with the derivation are
 recorded as discrepancies rather than failures.
+
+Each check walks its range once and carries its state from n to n+1: the
+window h(n-3)..h(n+2) of :func:`~horadam.sequences.h_windows`, the powers
+alpha^n and beta^n, Q^n and A^n as running products.  So a check costs
+time linear in n_max.  The assembled side of each matrix identity is the
+same ``*_from_window`` core that the public functions (``power_form``,
+``closed_power``, ...) feed from fast doubling, compared here against the
+running matrix product.  The three classic systems are derived once per
+process.  A check, or ``run_suite``, whose index range is empty raises
+DomainError rather than passing vacuously.
 """
 
 from __future__ import annotations
@@ -16,26 +26,28 @@ from fractions import Fraction
 
 from .derivation import (
     VARIANT_PATTERNS,
+    ClassicSystem,
     classic_systems,
-    closed_power,
+    closed_power_from_window,
     derive,
-    power_form,
+    power_form_from_window,
     preset_matrix,
-    reference_power,
+    reference_power_from_window,
 )
 from .errors import DomainError
 from .exact import RationalLike, as_fraction
 from .matrices import (
     Matrix,
     companion,
-    companion_decomposition_check,
-    companion_power_form,
+    companion_decomposition_from_window,
+    companion_power_from_window,
 )
 from .sequences import (
     RecurrenceParams,
-    binet_eval,
-    gen_fib,
-    linear_approx_check,
+    binet_from_powers,
+    h_windows,
+    linear_approx_holds,
+    roots,
 )
 
 PASS = "pass"
@@ -100,21 +112,40 @@ def matrix_mismatches(left: Matrix, right: Matrix) -> list[tuple[int, int, str, 
     ]
 
 
+def _require_range(lo: int, n_max: int) -> None:
+    if n_max < lo:
+        raise DomainError(f"n_max must be >= {lo}, got {n_max}")
+
+
+def _indexed_windows(r: Fraction, s: Fraction, lo: int, n_max: int):
+    """(n, window at n) for n in [lo, n_max]."""
+    return zip(range(lo, n_max + 1), h_windows(r, s, lo))
+
+
+def _matrix_identity(name, r, s, n_max, step, assemble) -> IdentityReport:
+    """Running product A^n = A^(n-1) * step vs assemble(h window) for n in [1, n_max]."""
+    power = step
+    for n, h in _indexed_windows(r, s, 1, n_max):
+        assembled = assemble(h)
+        if power != assembled:
+            failure = FirstFailure(n, _matrix_text(power), _matrix_text(assembled))
+            return _report(name, r, s, 1, n_max, failure)
+        power = power * step
+    return _report(name, r, s, 1, n_max)
+
+
 def check_cassini(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """h(n)^2 - h(n-1)*h(n+1) = (-s)^(n-1) for n in [1, n_max]."""
     r = as_fraction(r)
     s = as_fraction(s)
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    h_prev, h_n, h_next = Fraction(0), Fraction(1), r
+    _require_range(1, n_max)
     sign_power = Fraction(1)  # (-s)^(n-1)
-    for n in range(1, n_max + 1):
-        lhs = h_n * h_n - h_prev * h_next
+    for n, h in _indexed_windows(r, s, 1, n_max):
+        lhs = h[3] * h[3] - h[2] * h[4]
         if lhs != sign_power:
             failure = FirstFailure(n, str(lhs), str(sign_power))
             return _report("cassini", r, s, 1, n_max, failure)
         sign_power = sign_power * (-s)
-        h_prev, h_n, h_next = h_n, h_next, r * h_next + s * h_n
     return _report("cassini", r, s, 1, n_max)
 
 
@@ -123,40 +154,35 @@ def check_cubic(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     = h(n)*(h(n-2)*h(n+2) + 2*h(n-1)*h(n+1)) for n in [2, n_max]."""
     r = as_fraction(r)
     s = as_fraction(s)
-    if n_max < 2:
-        raise DomainError(f"n_max must be >= 2, got {n_max}")
-    window = [gen_fib(r, s, k) for k in range(5)]  # h(n-2)..h(n+2) at n = 2
-    for n in range(2, n_max + 1):
-        h_nm2, h_nm1, h_n, h_np1, h_np2 = window
+    _require_range(2, n_max)
+    for n, (_, h_nm2, h_nm1, h_n, h_np1, h_np2) in _indexed_windows(r, s, 2, n_max):
         lhs = h_n ** 3 + h_nm1 ** 2 * h_np2 + h_np1 ** 2 * h_nm2
         rhs = h_n * (h_nm2 * h_np2 + 2 * h_nm1 * h_np1)
         if lhs != rhs:
             failure = FirstFailure(n, str(lhs), str(rhs))
             return _report("cubic", r, s, 2, n_max, failure)
-        window = window[1:] + [r * window[4] + s * window[3]]
     return _report("cubic", r, s, 2, n_max)
 
 
 def check_power_form(variant: int, r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
-    """mat_pow(preset A, n) equals the entrywise power form, n in [1, n_max]."""
+    """Running product of the preset A equals the entrywise power form, n in [1, n_max]."""
     r = as_fraction(r)
     s = as_fraction(s)
-    name = f"power_form_{variant}"
+    _require_range(1, n_max)
     base = preset_matrix(variant, r, s)
-    power = base
-    for n in range(1, n_max + 1):
-        assembled = power_form(variant, r, s, n)
-        if power != assembled:
-            failure = FirstFailure(n, _matrix_text(power), _matrix_text(assembled))
-            return _report(name, r, s, 1, n_max, failure)
-        power = power * base
-    return _report(name, r, s, 1, n_max)
+    if s == 0:
+        raise DomainError("the entrywise power form requires s != 0")
+    return _matrix_identity(
+        f"power_form_{variant}", r, s, n_max, base,
+        lambda h: power_form_from_window(variant, r, s, h),
+    )
 
 
 def check_power_det_zero(variant: int, r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """det(A^n) = 0 for the preset matrices, n in [1, n_max]."""
     r = as_fraction(r)
     s = as_fraction(s)
+    _require_range(1, n_max)
     name = f"power_det_zero_{variant}"
     base = preset_matrix(variant, r, s)
     power = base
@@ -170,19 +196,16 @@ def check_power_det_zero(variant: int, r: RationalLike, s: RationalLike, n_max: 
 
 
 def check_closed_power(variant: int, r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
-    """closed_power (projector route) equals mat_pow for the derived system."""
+    """The closed form h(n)*A + s*h(n-1)*(I - E) equals the running product
+    A^n for the derived system, n in [1, n_max]."""
     r = as_fraction(r)
     s = as_fraction(s)
-    name = f"closed_power_{variant}"
+    _require_range(1, n_max)
     system = derive(r, s, VARIANT_PATTERNS[variant])
-    power = system.matrix
-    for n in range(1, n_max + 1):
-        closed = closed_power(system, n)
-        if power != closed:
-            failure = FirstFailure(n, _matrix_text(power), _matrix_text(closed))
-            return _report(name, r, s, 1, n_max, failure)
-        power = power * system.matrix
-    return _report(name, r, s, 1, n_max)
+    return _matrix_identity(
+        f"closed_power_{variant}", r, s, n_max, system.matrix,
+        lambda h: closed_power_from_window(system, h),
+    )
 
 
 def check_projector_algebra(variant: int, r: RationalLike, s: RationalLike) -> IdentityReport:
@@ -212,11 +235,12 @@ def check_companion_power(r: RationalLike, s: RationalLike, n_max: int) -> Ident
     """Q^n matches [[h(n+1), s*h(n)], [h(n), s*h(n-1)]] and det(Q^n) = (-s)^n."""
     r = as_fraction(r)
     s = as_fraction(s)
+    _require_range(1, n_max)
     q = companion(r, s)
     power = q
     sign_power = -s  # (-s)^n
-    for n in range(1, n_max + 1):
-        assembled = companion_power_form(r, s, n)
+    for n, h in _indexed_windows(r, s, 1, n_max):
+        assembled = companion_power_from_window(s, h)
         if power != assembled:
             failure = FirstFailure(n, _matrix_text(power), _matrix_text(assembled))
             return _report("companion_power", r, s, 1, n_max, failure)
@@ -233,25 +257,33 @@ def check_companion_decomposition(r: RationalLike, s: RationalLike, n_max: int) 
     """Q^n = h(n)*Q + s*h(n-1)*I for n in [1, n_max]."""
     r = as_fraction(r)
     s = as_fraction(s)
-    for n in range(1, n_max + 1):
-        if not companion_decomposition_check(r, s, n):
+    _require_range(1, n_max)
+    q = companion(r, s)
+    power = q
+    for n, h in _indexed_windows(r, s, 1, n_max):
+        if power != companion_decomposition_from_window(q, s, h):
             failure = FirstFailure(n, "Q^n", "h(n)*Q + s*h(n-1)*I")
             return _report("companion_decomposition", r, s, 1, n_max, failure)
+        power = power * q
     return _report("companion_decomposition", r, s, 1, n_max)
 
 
 def check_binet(r: RationalLike, s: RationalLike, n_max: int, n_min: int = -10) -> IdentityReport:
-    """binet_eval = gen_fib for n in [n_min, n_max]."""
+    """(alpha^n - beta^n)/(alpha - beta) = h(n) for n in [n_min, n_max]."""
     r = as_fraction(r)
     s = as_fraction(s)
     if s == 0:
         n_min = max(n_min, 0)
-    for n in range(n_min, n_max + 1):
-        lhs = binet_eval(r, s, n)
-        rhs = gen_fib(r, s, n)
-        if lhs != rhs:
-            failure = FirstFailure(n, str(lhs), str(rhs))
+    _require_range(n_min, n_max)
+    alpha, beta = roots(r, s)
+    gap = alpha - beta
+    alpha_n, beta_n = alpha ** n_min, beta ** n_min
+    for n, h in _indexed_windows(r, s, n_min, n_max):
+        lhs = binet_from_powers(alpha_n, beta_n, gap)
+        if lhs != h[3]:
+            failure = FirstFailure(n, str(lhs), str(h[3]))
             return _report("binet_recurrence", r, s, n_min, n_max, failure)
+        alpha_n, beta_n = alpha_n * alpha, beta_n * beta
     return _report("binet_recurrence", r, s, n_min, n_max)
 
 
@@ -259,11 +291,27 @@ def check_linear_approximation(r: RationalLike, s: RationalLike, n_max: int) -> 
     """alpha^n = alpha*h(n) + s*h(n-1) and the beta twin, n in [1, n_max]."""
     r = as_fraction(r)
     s = as_fraction(s)
-    for n in range(1, n_max + 1):
-        if not linear_approx_check(r, s, n):
+    _require_range(1, n_max)
+    alpha, beta = roots(r, s)
+    alpha_n, beta_n = alpha, beta
+    for n, h in _indexed_windows(r, s, 1, n_max):
+        if not (linear_approx_holds(alpha, alpha_n, s, h) and linear_approx_holds(beta, beta_n, s, h)):
             failure = FirstFailure(n, "alpha^n, beta^n", "alpha*h(n)+s*h(n-1), beta*h(n)+s*h(n-1)")
             return _report("linear_approximation", r, s, 1, n_max, failure)
+        alpha_n, beta_n = alpha_n * alpha, beta_n * beta
     return _report("linear_approximation", r, s, 1, n_max)
+
+
+#: The classic systems by name, derived on first use; they never change.
+_CLASSICS: dict[str, ClassicSystem] = {}
+
+
+def _classic(name: str) -> ClassicSystem:
+    if not _CLASSICS:
+        _CLASSICS.update((c.name, c) for c in classic_systems())
+    if name not in _CLASSICS:
+        raise ValueError(f"unknown classic system {name!r}")
+    return _CLASSICS[name]
 
 
 def check_reference_matrix(name: str) -> IdentityReport:
@@ -272,7 +320,7 @@ def check_reference_matrix(name: str) -> IdentityReport:
     A mismatch is a discrepancy in the reference table, not a failure:
     the derivation is checked independently through its eigen-equations.
     """
-    entry = next(c for c in classic_systems() if c.name == name)
+    entry = _classic(name)
     mismatches = matrix_mismatches(entry.system.matrix, entry.reference)
     r, s = entry.system.r, entry.system.s
     if not mismatches:
@@ -285,25 +333,22 @@ def check_reference_matrix(name: str) -> IdentityReport:
 
 def check_reference_power(name: str, n_max: int) -> IdentityReport:
     """Powers of the derived classic matrix vs the tabulated power form."""
-    entry = next(c for c in classic_systems() if c.name == name)
+    entry = _classic(name)
+    _require_range(1, n_max)
     r, s = entry.system.r, entry.system.s
-    power = entry.system.matrix
-    mismatch_note = None
-    for n in range(1, n_max + 1):
-        tabulated = reference_power(name, n)
-        mismatches = matrix_mismatches(power, tabulated)
-        if mismatches and mismatch_note is None:
+    a = entry.system.matrix
+    power = a
+    for n, h in _indexed_windows(r, s, 1, n_max):
+        mismatches = matrix_mismatches(power, reference_power_from_window(name, h))
+        if mismatches:
             i, j, lhs, rhs = mismatches[0]
-            mismatch_note = (
+            note = (
                 f"first difference at n={n}, entry ({i},{j}): "
                 f"derived {lhs} vs reference {rhs}"
             )
-        power = power * entry.system.matrix
-    if mismatch_note is None:
-        return IdentityReport(f"reference_power_{name}", r, s, 1, n_max, PASS)
-    return IdentityReport(
-        f"reference_power_{name}", r, s, 1, n_max, DISCREPANCY, None, mismatch_note
-    )
+            return IdentityReport(f"reference_power_{name}", r, s, 1, n_max, DISCREPANCY, None, note)
+        power = power * a
+    return IdentityReport(f"reference_power_{name}", r, s, 1, n_max, PASS)
 
 
 _GRID_SEED = 411
@@ -330,62 +375,48 @@ def default_grid() -> list[RecurrenceParams]:
     return grid
 
 
+#: Checks run once per grid pair: (report name, check, first index).  The
+#: check is called as check_<check>(r, s, max(n_max, first index)).
+_PAIR_CHECKS: tuple[tuple[str, str, int], ...] = (
+    ("cassini", "cassini", 1),
+    ("cubic", "cubic", 2),
+    ("companion_power", "companion_power", 1),
+    ("companion_decomposition", "companion_decomposition", 1),
+    ("binet_recurrence", "binet", -10),
+    ("linear_approximation", "linear_approximation", 1),
+)
+#: Checks run per grid pair and variant v as check_<check>(v, r, s, n_max),
+#: each followed by check_projector_algebra(v, r, s) over the fixed range [1, 3].
+_VARIANT_CHECKS = ("power_form", "power_det_zero", "closed_power")
+
+
 def run_suite(grid: list[RecurrenceParams], n_max: int) -> list[IdentityReport]:
     """Run every check over the grid; deterministic ordering.
 
     Parameter pairs that violate a check's hypotheses yield skipped
     entries.  The classic reference comparisons are appended once for any
-    nonempty grid.  An empty grid produces an empty report.
+    nonempty grid.  An empty grid produces an empty report; n_max below 1
+    raises DomainError.
     """
+    _require_range(1, n_max)
     if not grid:
         return []
     reports: list[IdentityReport] = []
-
-    def attempt(identity, fn, r, s, lo, hi):
-        try:
-            reports.append(fn())
-        except DomainError as exc:
-            reports.append(
-                IdentityReport(identity, r, s, lo, hi, SKIPPED, None, str(exc))
-            )
-
     for params in grid:
         r, s = params.r, params.s
-        attempt("cassini", lambda: check_cassini(r, s, n_max), r, s, 1, n_max)
-        attempt("cubic", lambda: check_cubic(r, s, max(n_max, 2)), r, s, 2, n_max)
-        attempt("companion_power", lambda: check_companion_power(r, s, n_max), r, s, 1, n_max)
-        attempt(
-            "companion_decomposition",
-            lambda: check_companion_decomposition(r, s, n_max),
-            r, s, 1, n_max,
-        )
-        attempt("binet_recurrence", lambda: check_binet(r, s, n_max), r, s, -10, n_max)
-        attempt(
-            "linear_approximation",
-            lambda: check_linear_approximation(r, s, n_max),
-            r, s, 1, n_max,
-        )
+        # (report name, check, arguments, range of a skipped report)
+        rows = [(identity, check, (r, s, max(n_max, lo)), lo, n_max)
+                for identity, check, lo in _PAIR_CHECKS]
         for variant in sorted(VARIANT_PATTERNS):
-            attempt(
-                f"power_form_{variant}",
-                lambda v=variant: check_power_form(v, r, s, n_max),
-                r, s, 1, n_max,
-            )
-            attempt(
-                f"power_det_zero_{variant}",
-                lambda v=variant: check_power_det_zero(v, r, s, n_max),
-                r, s, 1, n_max,
-            )
-            attempt(
-                f"closed_power_{variant}",
-                lambda v=variant: check_closed_power(v, r, s, n_max),
-                r, s, 1, n_max,
-            )
-            attempt(
-                f"projector_algebra_{variant}",
-                lambda v=variant: check_projector_algebra(v, r, s),
-                r, s, 1, 3,
-            )
+            rows += [(f"{check}_{variant}", check, (variant, r, s, n_max), 1, n_max)
+                     for check in _VARIANT_CHECKS]
+            rows.append((f"projector_algebra_{variant}", "projector_algebra", (variant, r, s), 1, 3))
+        for identity, check, args, lo, hi in rows:
+            # Looked up at call time, so a wrapper put on a check_* global takes effect.
+            try:
+                reports.append(globals()[f"check_{check}"](*args))
+            except DomainError as exc:
+                reports.append(IdentityReport(identity, r, s, lo, hi, SKIPPED, None, str(exc)))
 
     for name in ("fibonacci", "jacobsthal", "pell"):
         reports.append(check_reference_matrix(name))

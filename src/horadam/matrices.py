@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, SingularMatrixError
 from .exact import QuadElem, RationalLike, as_fraction
-from .sequences import fast_gen_fib
+from .sequences import h_window
 
 Scalar = Fraction | QuadElem
 
@@ -47,6 +47,14 @@ class Matrix:
         if len(discs) > 1:
             raise ValueError(f"entries mix discriminants: {sorted(discs)}")
         self._rows = data
+
+    @classmethod
+    def _trusted(cls, data: tuple[tuple[Scalar, ...], ...]) -> Matrix:
+        """Wrap rows that need no validation: the entrywise results of exact
+        arithmetic on valid matrices, which keep one shape and one discriminant."""
+        matrix = object.__new__(cls)
+        matrix._rows = data
+        return matrix
 
     @property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -96,23 +104,23 @@ class Matrix:
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Matrix(
+        return Matrix._trusted(tuple(
             tuple(a + b for a, b in zip(ra, rb))
             for ra, rb in zip(self._rows, other._rows)
-        )
+        ))
 
     def __sub__(self, other: Matrix) -> Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Matrix(
+        return Matrix._trusted(tuple(
             tuple(a - b for a, b in zip(ra, rb))
             for ra, rb in zip(self._rows, other._rows)
-        )
+        ))
 
     def __neg__(self) -> Matrix:
-        return Matrix(tuple(-e for e in row) for row in self._rows)
+        return Matrix._trusted(tuple(tuple(-e for e in row) for row in self._rows))
 
     def __mul__(self, other: object) -> Matrix:
         if isinstance(other, Matrix):
@@ -121,16 +129,16 @@ class Matrix:
                     f"incompatible shapes for product: {self.shape} x {other.shape}"
                 )
             cols = tuple(zip(*other._rows))
-            return Matrix(
+            return Matrix._trusted(tuple(
                 tuple(_dot(row, col) for col in cols) for row in self._rows
-            )
+            ))
         if isinstance(other, (int, Fraction, QuadElem)):
-            return Matrix(tuple(e * other for e in row) for row in self._rows)
+            return Matrix._trusted(tuple(tuple(e * other for e in row) for row in self._rows))
         return NotImplemented
 
     def __rmul__(self, other: object) -> Matrix:
         if isinstance(other, (int, Fraction, QuadElem)):
-            return Matrix(tuple(other * e for e in row) for row in self._rows)
+            return Matrix._trusted(tuple(tuple(other * e for e in row) for row in self._rows))
         return NotImplemented
 
     def __pow__(self, exponent: int) -> Matrix:
@@ -231,19 +239,24 @@ def companion_power_form(r: RationalLike, s: RationalLike, n: int) -> Matrix:
     [[h(n+1), s*h(n)], [h(n), s*h(n-1)]] for n >= 1."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    r = as_fraction(r)
     s = as_fraction(s)
-    h_prev, h_n = fast_gen_fib(r, s, n - 1)
-    h_next = r * h_n + s * h_prev
-    return Matrix([[h_next, s * h_n], [h_n, s * h_prev]])
+    return companion_power_from_window(s, h_window(r, s, n))
+
+
+def companion_power_from_window(s: Fraction, h: tuple) -> Matrix:
+    """[[h(n+1), s*h(n)], [h(n), s*h(n-1)]] for h the window of :func:`h_window` at n."""
+    return Matrix([[h[4], s * h[3]], [h[3], s * h[2]]])
 
 
 def companion_decomposition_check(r: RationalLike, s: RationalLike, n: int) -> bool:
     """Whether Q^n = h(n)*Q + s*h(n-1)*I holds exactly for the companion Q."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    r = as_fraction(r)
     s = as_fraction(s)
     q = companion(r, s)
-    h_prev, h_n = fast_gen_fib(r, s, n - 1)
-    return q ** n == h_n * q + (s * h_prev) * Matrix.identity(2)
+    return q ** n == companion_decomposition_from_window(q, s, h_window(r, s, n))
+
+
+def companion_decomposition_from_window(q: Matrix, s: Fraction, h: tuple) -> Matrix:
+    """h(n)*Q + s*h(n-1)*I for h the window of :func:`h_window` at n."""
+    return h[3] * q + (s * h[2]) * Matrix.identity(2)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError
 from .exact import QuadElem, RationalLike, as_fraction
@@ -110,8 +111,12 @@ def binet_eval(r: RationalLike, s: RationalLike, n: int) -> Fraction:
     if n < 0 and s == 0:
         raise DomainError("negative index requires s != 0")
     alpha, beta = roots(r, s)
-    value = (alpha ** n - beta ** n) / (alpha - beta)
-    return value.to_fraction()
+    return binet_from_powers(alpha ** n, beta ** n, alpha - beta)
+
+
+def binet_from_powers(alpha_n: QuadElem, beta_n: QuadElem, gap: QuadElem) -> Fraction:
+    """(alpha^n - beta^n) / (alpha - beta) from the two powers and the gap."""
+    return ((alpha_n - beta_n) / gap).to_fraction()
 
 
 def linear_approx_check(r: RationalLike, s: RationalLike, n: int) -> bool:
@@ -120,10 +125,13 @@ def linear_approx_check(r: RationalLike, s: RationalLike, n: int) -> bool:
         raise DomainError(f"n must be >= 1, got {n}")
     r = as_fraction(r)
     s = as_fraction(s)
-    alpha, beta = roots(r, s)
-    h_prev, h_n = fast_gen_fib(r, s, n - 1)
-    return (alpha ** n == alpha * h_n + s * h_prev
-            and beta ** n == beta * h_n + s * h_prev)
+    h = h_window(r, s, n)
+    return all(linear_approx_holds(root, root ** n, s, h) for root in roots(r, s))
+
+
+def linear_approx_holds(root: QuadElem, root_n: QuadElem, s: Fraction, h: tuple) -> bool:
+    """Whether root^n = root*h(n) + s*h(n-1), for h the window of :func:`h_window` at n."""
+    return root_n == root * h[3] + s * h[2]
 
 
 def fast_gen_fib(r: RationalLike, s: RationalLike, n: int) -> tuple[Fraction, Fraction]:
@@ -146,3 +154,43 @@ def fast_gen_fib(r: RationalLike, s: RationalLike, n: int) -> tuple[Fraction, Fr
         else:
             a, b = c, d
     return a, b
+
+
+def h_windows(r: RationalLike, s: RationalLike, lo: int) -> Iterator[tuple]:
+    """Yield the windows (h(n-3), ..., h(n+2)) for n = lo, lo+1, ... without end.
+
+    Each window is one recurrence step past the last.  Entries below index 0
+    come from the backward recurrence, which needs s != 0; with s = 0 they
+    are None.
+    """
+    r = as_fraction(r)
+    s = as_fraction(s)
+    values = _h_values(r, s, lo - 3)
+    window = tuple(islice(values, 6))
+    yield window
+    for value in values:
+        window = window[1:] + (value,)
+        yield window
+
+
+def h_window(r: RationalLike, s: RationalLike, n: int) -> tuple:
+    """(h(n-3), ..., h(n+2)) in O(log n) steps: fast doubling, then the recurrence."""
+    return next(h_windows(r, s, n))
+
+
+def _h_values(r: Fraction, s: Fraction, start: int) -> Iterator[Fraction | None]:
+    """h(start), h(start+1), ...: from fast doubling when start > 0, else
+    from h(0) = 0, h(1) = 1 and h(k) = (h(k+2) - r*h(k+1))/s below zero."""
+    if start > 0:
+        prev, cur = fast_gen_fib(r, s, start)
+    else:
+        prev, cur = Fraction(0), Fraction(1)
+        below = []  # h(-1), h(-2), ..., h(start)
+        above, at = cur, prev
+        for _ in range(-start):
+            above, at = at, None if s == 0 else (above - r * at) / s
+            below.append(at)
+        yield from reversed(below)
+    while True:
+        yield prev
+        prev, cur = cur, r * cur + s * prev

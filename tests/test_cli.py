@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +75,12 @@ DERIVE_GOLDEN = [
         "validity": "r not in {0, 2}",
     }),
 ]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+#: A grid that reaches every skip path: r = 0, the r = 2 hole of pattern 2,
+#: s = 0, D < 0 and a rational pair.
+SKIP_GRID = "--grid=0,1;2,1;3,0;1,-1;7/2,-2/3"
 
 
 class TestSeq:
@@ -230,6 +237,22 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--params", "1,1", "--n-max", n_max)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "--n-max" in err
+
+
+class TestVerifyGolden:
+    """Full `verify` stdout, pinned byte for byte."""
+
+    @pytest.mark.parametrize("argv,golden", [
+        (("--defaults", "--n-max", "16"), "verify_defaults_n16.json"),
+        ((SKIP_GRID, "--n-max", "1"), "verify_grid_n1.json"),
+        ((SKIP_GRID, "--n-max", "2"), "verify_grid_n2.json"),
+        ((SKIP_GRID, "--n-max", "24"), "verify_grid_n24.json"),
+        ((SKIP_GRID, "--n-max", "6", "--format", "csv"), "verify_grid_n6.csv"),
+    ], ids=["defaults-16", "grid-1", "grid-2", "grid-24", "grid-6-csv"])
+    def test_output_is_pinned(self, capsys, argv, golden):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / golden).read_bytes().decode()
 
 
 class TestBench:

@@ -1,11 +1,18 @@
 """The identity verification engine and its reports."""
 
+import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horadam import (
+    VARIANT_PATTERNS,
     DomainError,
+    Matrix,
     FirstFailure,
     IdentityReport,
     RecurrenceParams,
@@ -21,10 +28,26 @@ from horadam import (
     check_projector_algebra,
     check_reference_matrix,
     check_reference_power,
+    closed_power,
+    companion,
+    companion_power_form,
     default_grid,
+    derive,
+    fast_gen_fib,
     gen_fib,
+    power_form,
+    preset_matrix,
+    reference_power,
     run_suite,
 )
+from horadam import identities
+from horadam.derivation import (
+    closed_power_from_window,
+    power_form_from_window,
+    reference_power_from_window,
+)
+from horadam.matrices import companion_decomposition_from_window, companion_power_from_window
+from horadam.sequences import h_window, h_windows
 
 GRID = [(1, 1), (2, 1), (1, 2), (6, -1), (3, 2), (5, 3)]
 
@@ -229,3 +252,183 @@ class TestRunSuite:
         assert first == second
         keys = [(r.identity, r.r, r.s) for r in first]
         assert keys == sorted(keys)
+
+
+class TestEmptyRanges:
+    """A check over no index at all raises instead of passing vacuously."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: check_power_form(1, 1, 1, 0),
+        lambda: check_power_det_zero(1, 1, 1, 0),
+        lambda: check_closed_power(1, 1, 1, 0),
+        lambda: check_companion_power(1, 1, 0),
+        lambda: check_companion_decomposition(1, 1, 0),
+        lambda: check_linear_approximation(1, 1, -2),
+        lambda: check_binet(1, 1, -20),
+        lambda: check_binet(1, 1, 5, n_min=6),
+        lambda: check_binet(3, 0, -1),  # s = 0 clamps the range to [0, -1]
+        lambda: check_reference_power("fibonacci", 0),
+    ], ids=["power_form", "power_det_zero", "closed_power", "companion_power",
+            "companion_decomposition", "linear_approximation", "binet", "binet_n_min",
+            "binet_zero_s", "reference_power"])
+    def test_check_raises(self, call):
+        with pytest.raises(DomainError, match="n_max must be >="):
+            call()
+
+    @pytest.mark.parametrize("grid", [[RecurrenceParams(0, 1, 1, 1)], []])
+    def test_run_suite_raises(self, grid):
+        with pytest.raises(DomainError, match="n_max must be >= 1, got 0"):
+            run_suite(grid, 0)
+
+    def test_smallest_ranges_still_run(self):
+        assert check_power_form(1, 1, 1, 1).status == "pass"
+        assert check_binet(1, 1, -10).hi == -10
+        assert check_reference_power("fibonacci", 1).status == "pass"
+
+
+def _corrupted(m: Matrix) -> Matrix:
+    rows = [list(row) for row in m.rows]
+    rows[0][0] += 1
+    return Matrix(rows)
+
+
+def _corrupt_call(monkeypatch, core: str, k: int) -> None:
+    """Make the k-th call of an identities core return a matrix off by one in entry (0, 0)."""
+    original = getattr(identities, core)
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        result = original(*args)
+        return _corrupted(result) if len(calls) == k else result
+
+    monkeypatch.setattr(identities, core, wrapper)
+
+
+K = 7
+
+
+class TestFailurePath:
+    """A core that goes wrong at n = K is reported first at K, in the report's text format."""
+
+    def test_power_form(self, monkeypatch):
+        _corrupt_call(monkeypatch, "power_form_from_window", K)
+        report = check_power_form(1, 3, 2, 12)
+        power = preset_matrix(1, 3, 2) ** K
+        assembled = _corrupted(power_form(1, 3, 2, K))
+        assert report.status == "fail"
+        assert report.first_failure == FirstFailure(
+            K, identities._matrix_text(power), identities._matrix_text(assembled))
+        assert report.first_failure.lhs.startswith("[") and "; " in report.first_failure.lhs
+
+    def test_closed_power(self, monkeypatch):
+        _corrupt_call(monkeypatch, "closed_power_from_window", K)
+        report = check_closed_power(2, 3, 2, 12)
+        system = derive(3, 2, VARIANT_PATTERNS[2])
+        assembled = _corrupted(closed_power(system, K))
+        assert report.status == "fail"
+        assert report.first_failure == FirstFailure(
+            K, identities._matrix_text(system.matrix ** K), identities._matrix_text(assembled))
+
+    def test_companion_power(self, monkeypatch):
+        _corrupt_call(monkeypatch, "companion_power_from_window", K)
+        report = check_companion_power(Fraction(7, 2), Fraction(-2, 3), 12)
+        power = companion(Fraction(7, 2), Fraction(-2, 3)) ** K
+        assembled = _corrupted(companion_power_form(Fraction(7, 2), Fraction(-2, 3), K))
+        assert report.status == "fail"
+        assert report.first_failure == FirstFailure(
+            K, identities._matrix_text(power), identities._matrix_text(assembled))
+
+    def test_companion_decomposition(self, monkeypatch):
+        _corrupt_call(monkeypatch, "companion_decomposition_from_window", K)
+        report = check_companion_decomposition(6, -1, 12)
+        assert report.status == "fail"
+        assert report.first_failure == FirstFailure(K, "Q^n", "h(n)*Q + s*h(n-1)*I")
+
+    def test_reference_power(self, monkeypatch):
+        _corrupt_call(monkeypatch, "reference_power_from_window", K)
+        report = check_reference_power("fibonacci", 12)
+        tabulated = reference_power("fibonacci", K)
+        assert report.status == "discrepancy" and report.first_failure is None
+        assert report.note == (
+            f"first difference at n={K}, entry (0,0): "
+            f"derived {tabulated[0, 0]} vs reference {tabulated[0, 0] + 1}"
+        )
+
+    def test_suite_reports_the_failure(self, monkeypatch):
+        _corrupt_call(monkeypatch, "power_form_from_window", K)
+        reports = run_suite([RecurrenceParams(0, 1, 1, 1)], 10)
+        failed = [r for r in reports if r.status == "fail"]
+        assert [(r.identity, r.first_failure.index) for r in failed] == [("power_form_1", K)]
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+class TestDoublingEqualsRecurrence:
+    """The doubling-fed public functions agree with their cores fed the streamed window."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=rationals, s=rationals.filter(bool), n=st.integers(1, 200))
+    def test_public_functions_match_streamed_cores(self, r, s, n):
+        stream = list(islice(h_windows(r, s, 1), n))
+        for k, window in enumerate(stream, start=1):
+            assert fast_gen_fib(r, s, k) == window[3:5]
+        window = stream[-1]
+        assert h_window(r, s, n) == window
+        q = companion(r, s)
+        assert companion_power_form(r, s, n) == companion_power_from_window(s, window)
+        assert q ** n == companion_decomposition_from_window(q, s, window)
+        for variant in VARIANT_PATTERNS:
+            if r != 0 and (variant != 2 or r != 2):
+                assert power_form(variant, r, s, n) == power_form_from_window(variant, r, s, window)
+        if r * r + 4 * s > 0 and r != 0:
+            system = derive(r, s, VARIANT_PATTERNS[1])
+            assert closed_power(system, n) == closed_power_from_window(system, window)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 200))
+    def test_reference_power_matches_streamed_core(self, n):
+        for name, r, s in (("fibonacci", 1, 1), ("pell", 2, 1), ("jacobsthal", 1, 2)):
+            window = next(islice(h_windows(r, s, 1), n - 1, None))
+            assert reference_power(name, n) == reference_power_from_window(name, window)
+
+
+class TestCostShape:
+    """run_suite streams: no per-index recomputation, no matrix powers."""
+
+    def _run_counted(self, monkeypatch, n_max):
+        counts = Counter()
+
+        def counted(name, fn, weight):
+            def wrapper(*args, **kwargs):
+                counts[name] += weight(*args, **kwargs)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        targets = (
+            (gen_fib, "gen_fib.steps", lambda r, s, n: abs(n)),
+            (fast_gen_fib, "fast_gen_fib.calls", lambda *a: 1),
+            (derive, "derive.calls", lambda *a, **k: 1),
+        )
+        modules = [m for key, m in sys.modules.items() if key == "horadam" or key.startswith("horadam.")]
+        for original, name, weight in targets:
+            wrapper = counted(name, original, weight)
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, wrapper)
+        monkeypatch.setattr(Matrix, "__pow__", counted("Matrix.pow", Matrix.__pow__, lambda *a: 1))
+        run_suite(default_grid(), n_max)
+        monkeypatch.undo()
+        return counts
+
+    def test_linear_in_n_max(self, monkeypatch):
+        small = self._run_counted(monkeypatch, 32)
+        large = self._run_counted(monkeypatch, 64)
+        pairs = len(default_grid())
+        for counts in (small, large):
+            assert counts["derive.calls"] <= 6 * pairs + 3
+            assert counts["Matrix.pow"] == 0
+        for name in ("gen_fib.steps", "fast_gen_fib.calls"):
+            assert large[name] <= 2 * small[name]
