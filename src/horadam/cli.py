@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
-import math
 import re
 import sys
 import time
@@ -35,7 +35,6 @@ from .registry import (
 )
 from .sequences import (
     RecurrenceParams,
-    SeqValue,
     fast_gen_fib,
     gen_fib,
     horadam_range,
@@ -127,18 +126,6 @@ def _cmd_seq(args) -> int:
     if start > stop:
         raise ValueError(f"empty index range [{start}, {stop}]")
     name, params = _resolve_params(args)
-
-    unit_seeded = params.a == 0 and params.b == 1
-    window = stop - start + 1
-    if unit_seeded and start >= 0 and stop >= 2 and window < math.log2(stop):
-        value, nxt = fast_gen_fib(params.r, params.s, start)
-        values = []
-        for n in range(start, stop + 1):
-            values.append(SeqValue(n, value))
-            value, nxt = nxt, params.r * nxt + params.s * value
-    else:
-        values = horadam_range(params, start, stop)
-
     record = {
         "command": "seq",
         "params": {
@@ -151,7 +138,8 @@ def _cmd_seq(args) -> int:
             "to": stop,
         },
         "results": {
-            "values": [{"index": v.index, "value": str(v.value)} for v in values]
+            "values": [{"index": v.index, "value": str(v.value)}
+                       for v in horadam_range(params, start, stop)]
         },
     }
     _emit(record, args.format)
@@ -350,6 +338,9 @@ def _cmd_registry(args) -> int:
     return 0
 
 
+# Built once per process: main() may run many times in one process, and
+# every parser left behind is cyclic garbage.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="horadam",

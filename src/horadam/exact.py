@@ -100,11 +100,6 @@ class QuadElem:
     def one(cls, disc: RationalLike) -> QuadElem:
         return cls(1, 0, disc)
 
-    @classmethod
-    def sqrt_disc(cls, disc: RationalLike) -> QuadElem:
-        """The element sqrt(disc) itself."""
-        return cls(0, 1, disc)
-
     def __repr__(self) -> str:
         return f"QuadElem({self._rat}, {self._irr}, disc={self._disc})"
 

@@ -7,15 +7,18 @@ violates are recorded as skipped, and comparisons against tabulated
 reference matrices that are known to disagree with the derivation are
 recorded as discrepancies rather than failures.
 
-Each check walks its range once and carries its state from n to n+1: the
-window h(n-3)..h(n+2) of :func:`~horadam.sequences.h_windows`, the powers
-alpha^n and beta^n, Q^n and A^n as running products.  So a check costs
-time linear in n_max.  The assembled side of each matrix identity is the
-same ``*_from_window`` core that the public functions (``power_form``,
-``closed_power``, ...) feed from fast doubling, compared here against the
-running matrix product.  The three classic systems are derived once per
-process.  A check, or ``run_suite``, whose index range is empty raises
-DomainError rather than passing vacuously.
+All streaming checks share one loop, ``_sweep``: it walks the windows
+h(n-3)..h(n+2) of :func:`~horadam.sequences.h_windows` from the check's
+first index to n_max, carries running powers (alpha^n and beta^n, (-s)^n,
+Q^n, A^n) from n to n+1 by one product each, and stops at the first index
+where the check's ``differ`` function finds the two sides unequal.  So a
+check costs time linear in n_max, and each check is just its row: first
+index, bases, starting powers and the comparison.  The assembled side of
+each matrix identity is the same ``*_from_window`` core that the public
+functions (``power_form``, ``closed_power``, ...) feed from fast doubling.
+The three classic systems are derived once per process.  A check, or
+``run_suite``, whose index range is empty raises DomainError rather than
+passing vacuously.
 """
 
 from __future__ import annotations
@@ -117,36 +120,38 @@ def _require_range(lo: int, n_max: int) -> None:
         raise DomainError(f"n_max must be >= {lo}, got {n_max}")
 
 
-def _indexed_windows(r: Fraction, s: Fraction, lo: int, n_max: int):
-    """(n, window at n) for n in [lo, n_max]."""
-    return zip(range(lo, n_max + 1), h_windows(r, s, lo))
+def _sweep(r: Fraction, s: Fraction, lo: int, n_max: int, bases: list, powers: list, differ):
+    """The first (n, differ(h, *powers)) that is not None for n in [lo, n_max], else None.
+
+    h is the window h(n-3)..h(n+2) at n; each power starts at its value for
+    n = lo and is multiplied by its base after each index.
+    """
+    _require_range(lo, n_max)
+    for n, h in zip(range(lo, n_max + 1), h_windows(r, s, lo)):
+        mismatch = differ(h, *powers)
+        if mismatch is not None:
+            return n, mismatch
+        powers = [power * base for power, base in zip(powers, bases)]
+    return None
 
 
-def _matrix_identity(name, r, s, n_max, step, assemble) -> IdentityReport:
-    """Running product A^n = A^(n-1) * step vs assemble(h window) for n in [1, n_max]."""
-    power = step
-    for n, h in _indexed_windows(r, s, 1, n_max):
-        assembled = assemble(h)
-        if power != assembled:
-            failure = FirstFailure(n, _matrix_text(power), _matrix_text(assembled))
-            return _report(name, r, s, 1, n_max, failure)
-        power = power * step
-    return _report(name, r, s, 1, n_max)
+def _streamed(name, r, s, lo, n_max, bases, powers, differ) -> IdentityReport:
+    """Report of :func:`_sweep`, whose mismatch is the (lhs, rhs) text pair."""
+    found = _sweep(r, s, lo, n_max, bases, powers, differ)
+    failure = None if found is None else FirstFailure(found[0], *found[1])
+    return _report(name, r, s, lo, n_max, failure)
+
+
+def _unequal(lhs, rhs, text=str) -> tuple[str, str] | None:
+    return None if lhs == rhs else (text(lhs), text(rhs))
 
 
 def check_cassini(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """h(n)^2 - h(n-1)*h(n+1) = (-s)^(n-1) for n in [1, n_max]."""
     r = as_fraction(r)
     s = as_fraction(s)
-    _require_range(1, n_max)
-    sign_power = Fraction(1)  # (-s)^(n-1)
-    for n, h in _indexed_windows(r, s, 1, n_max):
-        lhs = h[3] * h[3] - h[2] * h[4]
-        if lhs != sign_power:
-            failure = FirstFailure(n, str(lhs), str(sign_power))
-            return _report("cassini", r, s, 1, n_max, failure)
-        sign_power = sign_power * (-s)
-    return _report("cassini", r, s, 1, n_max)
+    return _streamed("cassini", r, s, 1, n_max, [-s], [Fraction(1)],
+                     lambda h, sign_power: _unequal(h[3] * h[3] - h[2] * h[4], sign_power))
 
 
 def check_cubic(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
@@ -154,45 +159,33 @@ def check_cubic(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     = h(n)*(h(n-2)*h(n+2) + 2*h(n-1)*h(n+1)) for n in [2, n_max]."""
     r = as_fraction(r)
     s = as_fraction(s)
-    _require_range(2, n_max)
-    for n, (_, h_nm2, h_nm1, h_n, h_np1, h_np2) in _indexed_windows(r, s, 2, n_max):
-        lhs = h_n ** 3 + h_nm1 ** 2 * h_np2 + h_np1 ** 2 * h_nm2
-        rhs = h_n * (h_nm2 * h_np2 + 2 * h_nm1 * h_np1)
-        if lhs != rhs:
-            failure = FirstFailure(n, str(lhs), str(rhs))
-            return _report("cubic", r, s, 2, n_max, failure)
-    return _report("cubic", r, s, 2, n_max)
+
+    def differ(h):
+        _, h_nm2, h_nm1, h_n, h_np1, h_np2 = h
+        return _unequal(h_n ** 3 + h_nm1 ** 2 * h_np2 + h_np1 ** 2 * h_nm2,
+                        h_n * (h_nm2 * h_np2 + 2 * h_nm1 * h_np1))
+
+    return _streamed("cubic", r, s, 2, n_max, [], [], differ)
 
 
 def check_power_form(variant: int, r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """Running product of the preset A equals the entrywise power form, n in [1, n_max]."""
     r = as_fraction(r)
     s = as_fraction(s)
-    _require_range(1, n_max)
     base = preset_matrix(variant, r, s)
     if s == 0:
         raise DomainError("the entrywise power form requires s != 0")
-    return _matrix_identity(
-        f"power_form_{variant}", r, s, n_max, base,
-        lambda h: power_form_from_window(variant, r, s, h),
-    )
+    return _streamed(f"power_form_{variant}", r, s, 1, n_max, [base], [base],
+                     lambda h, power: _unequal(power, power_form_from_window(variant, r, s, h), _matrix_text))
 
 
 def check_power_det_zero(variant: int, r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """det(A^n) = 0 for the preset matrices, n in [1, n_max]."""
     r = as_fraction(r)
     s = as_fraction(s)
-    _require_range(1, n_max)
-    name = f"power_det_zero_{variant}"
     base = preset_matrix(variant, r, s)
-    power = base
-    for n in range(1, n_max + 1):
-        d = power.det()
-        if d != 0:
-            failure = FirstFailure(n, str(d), "0")
-            return _report(name, r, s, 1, n_max, failure)
-        power = power * base
-    return _report(name, r, s, 1, n_max)
+    return _streamed(f"power_det_zero_{variant}", r, s, 1, n_max, [base], [base],
+                     lambda h, power: _unequal(power.det(), 0))
 
 
 def check_closed_power(variant: int, r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
@@ -200,12 +193,10 @@ def check_closed_power(variant: int, r: RationalLike, s: RationalLike, n_max: in
     A^n for the derived system, n in [1, n_max]."""
     r = as_fraction(r)
     s = as_fraction(s)
-    _require_range(1, n_max)
     system = derive(r, s, VARIANT_PATTERNS[variant])
-    return _matrix_identity(
-        f"closed_power_{variant}", r, s, n_max, system.matrix,
-        lambda h: closed_power_from_window(system, h),
-    )
+    a = system.matrix
+    return _streamed(f"closed_power_{variant}", r, s, 1, n_max, [a], [a],
+                     lambda h, power: _unequal(power, closed_power_from_window(system, h), _matrix_text))
 
 
 def check_projector_algebra(variant: int, r: RationalLike, s: RationalLike) -> IdentityReport:
@@ -235,37 +226,23 @@ def check_companion_power(r: RationalLike, s: RationalLike, n_max: int) -> Ident
     """Q^n matches [[h(n+1), s*h(n)], [h(n), s*h(n-1)]] and det(Q^n) = (-s)^n."""
     r = as_fraction(r)
     s = as_fraction(s)
-    _require_range(1, n_max)
     q = companion(r, s)
-    power = q
-    sign_power = -s  # (-s)^n
-    for n, h in _indexed_windows(r, s, 1, n_max):
+
+    def differ(h, power, sign_power):
         assembled = companion_power_from_window(s, h)
-        if power != assembled:
-            failure = FirstFailure(n, _matrix_text(power), _matrix_text(assembled))
-            return _report("companion_power", r, s, 1, n_max, failure)
-        d = assembled.det()
-        if d != sign_power:
-            failure = FirstFailure(n, str(d), str(sign_power))
-            return _report("companion_power", r, s, 1, n_max, failure)
-        power = power * q
-        sign_power = sign_power * (-s)
-    return _report("companion_power", r, s, 1, n_max)
+        return _unequal(power, assembled, _matrix_text) or _unequal(assembled.det(), sign_power)
+
+    return _streamed("companion_power", r, s, 1, n_max, [q, -s], [q, -s], differ)
 
 
 def check_companion_decomposition(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """Q^n = h(n)*Q + s*h(n-1)*I for n in [1, n_max]."""
     r = as_fraction(r)
     s = as_fraction(s)
-    _require_range(1, n_max)
     q = companion(r, s)
-    power = q
-    for n, h in _indexed_windows(r, s, 1, n_max):
-        if power != companion_decomposition_from_window(q, s, h):
-            failure = FirstFailure(n, "Q^n", "h(n)*Q + s*h(n-1)*I")
-            return _report("companion_decomposition", r, s, 1, n_max, failure)
-        power = power * q
-    return _report("companion_decomposition", r, s, 1, n_max)
+    return _streamed("companion_decomposition", r, s, 1, n_max, [q], [q],
+                     lambda h, power: None if power == companion_decomposition_from_window(q, s, h)
+                     else ("Q^n", "h(n)*Q + s*h(n-1)*I"))
 
 
 def check_binet(r: RationalLike, s: RationalLike, n_max: int, n_min: int = -10) -> IdentityReport:
@@ -274,32 +251,22 @@ def check_binet(r: RationalLike, s: RationalLike, n_max: int, n_min: int = -10) 
     s = as_fraction(s)
     if s == 0:
         n_min = max(n_min, 0)
-    _require_range(n_min, n_max)
+    _require_range(n_min, n_max)  # before alpha^n_min, which an empty range must not pay for
     alpha, beta = roots(r, s)
     gap = alpha - beta
-    alpha_n, beta_n = alpha ** n_min, beta ** n_min
-    for n, h in _indexed_windows(r, s, n_min, n_max):
-        lhs = binet_from_powers(alpha_n, beta_n, gap)
-        if lhs != h[3]:
-            failure = FirstFailure(n, str(lhs), str(h[3]))
-            return _report("binet_recurrence", r, s, n_min, n_max, failure)
-        alpha_n, beta_n = alpha_n * alpha, beta_n * beta
-    return _report("binet_recurrence", r, s, n_min, n_max)
+    return _streamed("binet_recurrence", r, s, n_min, n_max, [alpha, beta], [alpha ** n_min, beta ** n_min],
+                     lambda h, alpha_n, beta_n: _unequal(binet_from_powers(alpha_n, beta_n, gap), h[3]))
 
 
 def check_linear_approximation(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """alpha^n = alpha*h(n) + s*h(n-1) and the beta twin, n in [1, n_max]."""
     r = as_fraction(r)
     s = as_fraction(s)
-    _require_range(1, n_max)
     alpha, beta = roots(r, s)
-    alpha_n, beta_n = alpha, beta
-    for n, h in _indexed_windows(r, s, 1, n_max):
-        if not (linear_approx_holds(alpha, alpha_n, s, h) and linear_approx_holds(beta, beta_n, s, h)):
-            failure = FirstFailure(n, "alpha^n, beta^n", "alpha*h(n)+s*h(n-1), beta*h(n)+s*h(n-1)")
-            return _report("linear_approximation", r, s, 1, n_max, failure)
-        alpha_n, beta_n = alpha_n * alpha, beta_n * beta
-    return _report("linear_approximation", r, s, 1, n_max)
+    return _streamed("linear_approximation", r, s, 1, n_max, [alpha, beta], [alpha, beta],
+                     lambda h, alpha_n, beta_n: None
+                     if linear_approx_holds(alpha, alpha_n, s, h) and linear_approx_holds(beta, beta_n, s, h)
+                     else ("alpha^n, beta^n", "alpha*h(n)+s*h(n-1), beta*h(n)+s*h(n-1)"))
 
 
 #: The classic systems by name, derived on first use; they never change.
@@ -334,21 +301,15 @@ def check_reference_matrix(name: str) -> IdentityReport:
 def check_reference_power(name: str, n_max: int) -> IdentityReport:
     """Powers of the derived classic matrix vs the tabulated power form."""
     entry = _classic(name)
-    _require_range(1, n_max)
     r, s = entry.system.r, entry.system.s
     a = entry.system.matrix
-    power = a
-    for n, h in _indexed_windows(r, s, 1, n_max):
-        mismatches = matrix_mismatches(power, reference_power_from_window(name, h))
-        if mismatches:
-            i, j, lhs, rhs = mismatches[0]
-            note = (
-                f"first difference at n={n}, entry ({i},{j}): "
-                f"derived {lhs} vs reference {rhs}"
-            )
-            return IdentityReport(f"reference_power_{name}", r, s, 1, n_max, DISCREPANCY, None, note)
-        power = power * a
-    return IdentityReport(f"reference_power_{name}", r, s, 1, n_max, PASS)
+    found = _sweep(r, s, 1, n_max, [a], [a],
+                   lambda h, power: next(iter(matrix_mismatches(power, reference_power_from_window(name, h))), None))
+    if found is None:
+        return IdentityReport(f"reference_power_{name}", r, s, 1, n_max, PASS)
+    n, (i, j, lhs, rhs) = found
+    note = f"first difference at n={n}, entry ({i},{j}): derived {lhs} vs reference {rhs}"
+    return IdentityReport(f"reference_power_{name}", r, s, 1, n_max, DISCREPANCY, None, note)
 
 
 _GRID_SEED = 411

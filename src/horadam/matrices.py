@@ -159,9 +159,6 @@ class Matrix:
                 base = base * base
         return result
 
-    def transpose(self) -> Matrix:
-        return Matrix(zip(*self._rows))
-
     def trace(self) -> Scalar:
         if self.nrows != self.ncols:
             raise ValueError("trace of a non-square matrix")

@@ -5,6 +5,12 @@ H(n+2) = r*H(n+1) + s*H(n).  The unit-seeded slice h(n) with a = 0, b = 1
 is the generalized Fibonacci sequence; it is the one with a Binet closed
 form and a fast-doubling evaluator.  Indices extend below zero through the
 backward recurrence H(n) = (H(n+2) - r*H(n+1)) / s, which requires s != 0.
+
+Every run of consecutive values (``horadam_range``, ``h_windows``) comes
+from one walk of the forward recurrence.  For any seeds it reaches a
+positive first index by fast doubling, through H(n) = b*h(n) + a*s*h(n-1),
+rather than by stepping up from H(0).  ``horadam_eval`` iterates from the
+seeds and stays the independent reference for that walk.
 """
 
 from __future__ import annotations
@@ -57,25 +63,12 @@ def horadam_eval(params: RecurrenceParams, n: int) -> Fraction:
 
 
 def horadam_range(params: RecurrenceParams, lo: int, hi: int) -> list[SeqValue]:
-    """H(n) for every n in [lo, hi], evaluated in one pass per direction."""
+    """H(n) for every n in [lo, hi], in one walk of the recurrence from lo."""
     if lo > hi:
         raise ValueError(f"empty index range [{lo}, {hi}]")
     if lo < 0 and params.s == 0:
         raise DomainError("backward extension requires s != 0")
-    values: dict[int, Fraction] = {}
-    if hi >= 0:
-        prev, cur = params.a, params.b
-        for n in range(0, hi + 1):
-            if n >= lo:
-                values[n] = prev
-            prev, cur = cur, params.r * cur + params.s * prev
-    if lo < 0:
-        above, cur = params.b, params.a
-        for n in range(-1, lo - 1, -1):
-            above, cur = cur, (above - params.r * cur) / params.s
-            if n <= hi:
-                values[n] = cur
-    return [SeqValue(n, values[n]) for n in range(lo, hi + 1)]
+    return [SeqValue(n, value) for n, value in zip(range(lo, hi + 1), _values(params, lo))]
 
 
 def gen_fib(r: RationalLike, s: RationalLike, n: int) -> Fraction:
@@ -163,11 +156,8 @@ def h_windows(r: RationalLike, s: RationalLike, lo: int) -> Iterator[tuple]:
     come from the backward recurrence, which needs s != 0; with s = 0 they
     are None.
     """
-    r = as_fraction(r)
-    s = as_fraction(s)
-    values = _h_values(r, s, lo - 3)
-    window = tuple(islice(values, 6))
-    yield window
+    values = _values(RecurrenceParams(0, 1, r, s), lo - 3)
+    window = (None, *islice(values, 5))  # the first step shifts the None out
     for value in values:
         window = window[1:] + (value,)
         yield window
@@ -178,19 +168,24 @@ def h_window(r: RationalLike, s: RationalLike, n: int) -> tuple:
     return next(h_windows(r, s, n))
 
 
-def _h_values(r: Fraction, s: Fraction, start: int) -> Iterator[Fraction | None]:
-    """h(start), h(start+1), ...: from fast doubling when start > 0, else
-    from h(0) = 0, h(1) = 1 and h(k) = (h(k+2) - r*h(k+1))/s below zero."""
+def _values(params: RecurrenceParams, start: int) -> Iterator[Fraction | None]:
+    """H(start), H(start+1), ... without end, by the forward recurrence.
+
+    For start > 0 the walk begins with fast doubling, through
+    H(n) = b*h(n) + a*s*h(n-1) = b*h(n) + a*(h(n+1) - r*h(n)).  Otherwise it
+    first steps back from H(0), H(1) to start by H(k) = (H(k+2) - r*H(k+1))/s;
+    with s = 0 the entries below 0 are None.
+    """
+    a, b, r, s = params.a, params.b, params.r, params.s
+    prev, cur = a, b
     if start > 0:
-        prev, cur = fast_gen_fib(r, s, start)
+        h, h_next = fast_gen_fib(r, s, start)
+        prev, cur = b * h + a * (h_next - r * h), b * h_next + a * s * h
+    elif s == 0:
+        yield from [None] * -start
     else:
-        prev, cur = Fraction(0), Fraction(1)
-        below = []  # h(-1), h(-2), ..., h(start)
-        above, at = cur, prev
         for _ in range(-start):
-            above, at = at, None if s == 0 else (above - r * at) / s
-            below.append(at)
-        yield from reversed(below)
+            prev, cur = (cur - r * prev) / s, prev
     while True:
         yield prev
         prev, cur = cur, r * cur + s * prev

@@ -1,11 +1,18 @@
 """End-to-end CLI behavior: output schemas, formats, exit codes."""
 
+import argparse
 import csv
+import gc
 import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horadam import gen_fib
 from horadam.cli import main
@@ -399,3 +406,93 @@ class TestOutputContracts:
         with pytest.raises(SystemExit) as exc:
             main(["seq", "--bogus-flag"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    def test_main_leaves_no_parser_garbage(self, capsys):
+        argv = ["seq", "--r", "1", "--s", "1", "0..3"]
+        main(argv)
+        gc.collect()
+        debug = gc.get_debug()
+        gc.set_debug(debug | gc.DEBUG_SAVEALL)
+        try:
+            main(argv)
+            gc.collect()
+            parsers = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+        capsys.readouterr()
+        assert parsers == []
+
+
+# Small value sets, mostly good with some malformed, so every drawn command runs quickly.
+def _mostly(good, bad):
+    return st.sampled_from(tuple(good) * 4 + tuple(bad))
+
+
+FUZZ_FRACTION = _mostly(("0", "1", "-1", "2", "6", "3/2", "-2/3", "0.5"), ("1/0", "x", "", "2/", "--3"))
+FUZZ_PATTERN = _mostly(("+++", "++-", "+-+", "-+-", "---"), ("+-", "++++", "ab+", ""))
+FUZZ_NAME = _mostly(("fibonacci", "pell", "balancing"), ("nosuch", "3..5"))
+FUZZ_PAIR = _mostly(("1,1", "3,2", "-3/2,5", "0,1", "2,1", "1,-1", "7/2,-2/3", "3,0"), ("1", "a,b", ""))
+
+
+def _flags(draw, names, values, optional=True):
+    return [f"--{name}={draw(values)}" for name in names if not optional or draw(st.booleans())]
+
+
+@st.composite
+def cli_argv(draw):
+    fmt = ["--format", draw(_mostly(("json", "csv"), ("xml",)))] if draw(st.booleans()) else []
+    command = draw(st.sampled_from(("seq", "derive", "verify", "bench", "registry")))
+    named = draw(st.booleans())
+    if command == "seq":
+        argv = ["seq"] + ([draw(FUZZ_NAME)] if named else [])
+        span = draw(st.sampled_from(("dots", "flags", "malformed", "none")))
+        if span == "dots":
+            lo = draw(st.integers(0, 50))
+            argv.append(f"{lo}..{lo + draw(st.integers(-2, 50 - lo))}")
+        elif span == "flags":
+            lo = draw(st.integers(-50, 50))
+            argv += [f"--from={lo}", f"--to={lo + draw(st.integers(-2, 50 - lo))}"]
+        elif span == "malformed":
+            argv.append(draw(st.sampled_from(("3..", "a..b", "-2..4", "5"))))
+        argv += _flags(draw, ("r", "s"), FUZZ_FRACTION, optional=named)
+        argv += _flags(draw, ("a", "b"), FUZZ_FRACTION)
+    elif command == "derive":
+        argv = ["derive"] + _flags(draw, ("r", "s"), FUZZ_FRACTION, optional=False)
+        argv += _flags(draw, ("pattern",), FUZZ_PATTERN, optional=False)
+        argv += _flags(draw, ("t",), FUZZ_FRACTION)
+        argv += _flags(draw, ("n",), _mostly([str(n) for n in range(-2, 9)], ("x",)))
+    elif command == "verify":
+        argv = ["verify", f"--n-max={draw(st.integers(-2, 8))}"]
+        if draw(st.booleans()):
+            argv.append(f"--grid={';'.join(draw(st.lists(FUZZ_PAIR, max_size=3)))}")
+        argv += [f"--params={p}" for p in draw(st.lists(FUZZ_PAIR, max_size=2))]
+        argv += ["--defaults"] if draw(st.booleans()) else []
+    elif command == "bench":
+        argv = ["bench"] + ([draw(FUZZ_NAME)] if named else [])
+        argv.append(draw(_mostly([str(n) for n in range(-2, 65)], ("x",))))
+        if draw(st.booleans()):
+            argv.append(draw(_mostly(("*", "iterative", "fast-doubling,matrix-pow"), ("bogus", ","))))
+        argv += _flags(draw, ("r", "s"), FUZZ_FRACTION, optional=named)
+    else:
+        argv = ["registry", "list"]
+    return argv + fmt
+
+
+class TestArgvFuzz:
+    """No argv reaches the user as a traceback; exit codes stay 0, 1 or 2."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=cli_argv())
+    def test_exit_code_and_no_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+            os.environ.pop("HORADAM_REGISTRY", None)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

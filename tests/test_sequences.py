@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from horadam import (
@@ -17,6 +17,7 @@ from horadam import (
     linear_approx_check,
     roots,
 )
+from horadam import sequences
 
 # parameter pairs used throughout; all have D > 0 and s != 0,
 # covering negative s and a perfect-square discriminant (1, 2)
@@ -211,3 +212,33 @@ class TestHoradamRange:
     def test_negative_window_requires_nonzero_s(self):
         with pytest.raises(DomainError):
             horadam_range(RecurrenceParams(0, 1, 3, 0), -2, 2)
+
+    @given(
+        a=st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        b=st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        r=st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        s=st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        lo=st.integers(-30, 300),
+        width=st.integers(1, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_walk_matches_iteration_from_the_seeds(self, a, b, r, s, lo, width):
+        assume(lo >= 0 or s != 0)
+        params = RecurrenceParams(a, b, r, s)
+        window = horadam_range(params, lo, lo + width - 1)
+        assert window == [(n, horadam_eval(params, n)) for n in range(lo, lo + width)]
+
+    def test_far_window_starts_from_one_doubling(self, monkeypatch):
+        calls = []
+        original = sequences.fast_gen_fib
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sequences, "fast_gen_fib", counted)
+        params = RecurrenceParams(2, 1, 1, 1)  # Lucas numbers: general seeds
+        window = horadam_range(params, 10_000, 10_002)
+        assert len(calls) == 1
+        assert window[2].value == window[1].value + window[0].value
+        assert window[0].value == gen_fib(1, 1, 10_001) + gen_fib(1, 1, 9_999)

@@ -1,11 +1,18 @@
 """Properties of the package source as a whole."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import horadam
 
 PACKAGE_DIR = Path(horadam.__file__).parent
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from perfbench import tracing  # noqa: E402
 
 
 def test_no_assert_statements():
@@ -17,3 +24,22 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_traced_names_resolve():
+    # The benchmark's tracer wraps these names from outside the package; a
+    # renamed or deleted one would only fail a traced benchmark run.
+    missing = []
+    for module, attr, _ in tracing.SPANNED + tracing.COUNTED:
+        home = importlib.import_module(f"horadam.{module}")
+        if "." in attr:
+            owner, method = attr.split(".")
+            if method not in vars(getattr(home, owner, object)):
+                missing.append(f"{module}.{attr}")
+        elif not hasattr(home, attr):
+            missing.append(f"{module}.{attr}")
+    # Reached directly by the benchmark's self-tests.
+    for module, attr in (("derivation", "fast_gen_fib"), ("matrices", "QuadElem")):
+        if not hasattr(importlib.import_module(f"horadam.{module}"), attr):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
