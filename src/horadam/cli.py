@@ -5,6 +5,13 @@ and optionally compare two power evaluations), verify (run the identity
 suite over a parameter grid), bench (time the evaluation strategies) and
 registry (list or add named parameter sets).
 
+Each subcommand's handler takes the parsed arguments and returns
+(params, results, exit code); it neither prints nor builds the output
+record.  ``main`` wraps params and results as {"command", "params",
+"results"}, writes the record once through ``_emit`` and returns the
+code; a usage or domain error a handler raises becomes one "error: ..."
+line on stderr and exit code 2.
+
 All numbers cross this boundary as exact text: decimal integer strings or
 "p/q" fraction strings, never floats.  Exit codes: 0 success, 1 a
 verification failure, 2 usage or domain errors.
@@ -20,6 +27,8 @@ import json
 import re
 import sys
 import time
+from collections import Counter
+from fractions import Fraction
 
 from .derivation import KernelPattern, classic_for, closed_power, derive
 from .errors import HoradamError
@@ -84,31 +93,22 @@ def _emit(record: dict, fmt: str) -> None:
 
 def _resolve_params(args) -> tuple[str | None, RecurrenceParams]:
     """Name and/or individual fraction flags to RecurrenceParams."""
-    name = getattr(args, "name", None)
-    if name is not None:
-        entry = resolve(name, registry_path(args.registry))
-        a, b, r, s = entry.a, entry.b, entry.r, entry.s
+    name = None
+    values = {"a": Fraction(0), "b": Fraction(1)}
+    if args.name is not None:
+        entry = resolve(args.name, registry_path(args.registry))
         name = entry.name
-    else:
-        if args.r is None or args.s is None:
-            raise ValueError("either a sequence name or both --r and --s are required")
-        a, b, r, s = None, None, None, None
-    if args.a is not None:
-        a = parse_fraction(args.a)
-    elif a is None:
-        a = parse_fraction("0")
-    if args.b is not None:
-        b = parse_fraction(args.b)
-    elif b is None:
-        b = parse_fraction("1")
-    if args.r is not None:
-        r = parse_fraction(args.r)
-    if args.s is not None:
-        s = parse_fraction(args.s)
-    return name, RecurrenceParams(a, b, r, s)
+        values = {field: getattr(entry, field) for field in "abrs"}
+    elif args.r is None or args.s is None:
+        raise ValueError("either a sequence name or both --r and --s are required")
+    for field in "abrs":
+        text = getattr(args, field, None)
+        if text is not None:
+            values[field] = parse_fraction(text)
+    return name, RecurrenceParams(**values)
 
 
-def _cmd_seq(args) -> int:
+def _cmd_seq(args) -> tuple[dict, dict, int]:
     if args.name is not None and args.span is None and _RANGE_RE.match(args.name):
         args.span = args.name
         args.name = None
@@ -126,27 +126,19 @@ def _cmd_seq(args) -> int:
     if start > stop:
         raise ValueError(f"empty index range [{start}, {stop}]")
     name, params = _resolve_params(args)
-    record = {
-        "command": "seq",
-        "params": {
-            "name": name,
-            "a": str(params.a),
-            "b": str(params.b),
-            "r": str(params.r),
-            "s": str(params.s),
-            "from": start,
-            "to": stop,
-        },
-        "results": {
-            "values": [{"index": v.index, "value": str(v.value)}
-                       for v in horadam_range(params, start, stop)]
-        },
-    }
-    _emit(record, args.format)
-    return 0
+    values = [{"index": v.index, "value": str(v.value)} for v in horadam_range(params, start, stop)]
+    return {
+        "name": name,
+        "a": str(params.a),
+        "b": str(params.b),
+        "r": str(params.r),
+        "s": str(params.s),
+        "from": start,
+        "to": stop,
+    }, {"values": values}, 0
 
 
-def _cmd_derive(args) -> int:
+def _cmd_derive(args) -> tuple[dict, dict, int]:
     r = parse_fraction(args.r)
     s = parse_fraction(args.s)
     pattern = KernelPattern.from_string(args.pattern)
@@ -181,22 +173,11 @@ def _cmd_derive(args) -> int:
                 for i, j, lhs, rhs in mismatches
             ],
         }
-    record = {
-        "command": "derive",
-        "params": {"r": str(r), "s": str(s), "pattern": str(pattern), "t": str(t), "n": args.n},
-        "results": results,
-    }
-    _emit(record, args.format)
-    return 0
+    return {"r": str(r), "s": str(s), "pattern": str(pattern), "t": str(t), "n": args.n}, results, 0
 
 
 def _parse_grid(spec: str) -> list[RecurrenceParams]:
-    grid = []
-    for chunk in spec.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            grid.append(_parse_pair(chunk))
-    return grid
+    return [_parse_pair(chunk.strip()) for chunk in spec.split(";") if chunk.strip()]
 
 
 def _parse_pair(spec: str) -> RecurrenceParams:
@@ -206,69 +187,37 @@ def _parse_pair(spec: str) -> RecurrenceParams:
     return RecurrenceParams(0, 1, parse_fraction(parts[0]), parse_fraction(parts[1]))
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, dict, int]:
     if args.n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
-    grid: list[RecurrenceParams] = []
-    explicit = False
-    if args.grid is not None:
-        explicit = True
-        grid.extend(_parse_grid(args.grid))
-    for spec in args.params or ():
-        explicit = True
-        grid.append(_parse_pair(spec))
-    if args.defaults:
-        grid.extend(default_grid())
-    elif not explicit:
-        grid = default_grid()
-
+    grid = [] if args.grid is None else _parse_grid(args.grid)
+    grid += [_parse_pair(spec) for spec in args.params or ()]
+    if args.defaults or (args.grid is None and not args.params):
+        grid += default_grid()
     reports = run_suite(grid, args.n_max)
-    summary: dict[str, int] = {}
-    for report in reports:
-        summary[report.status] = summary.get(report.status, 0) + 1
-    record = {
-        "command": "verify",
-        "params": {
-            "grid": [[str(p.r), str(p.s)] for p in grid],
-            "n_max": args.n_max,
-        },
-        "results": {
-            "reports": [report.to_dict() for report in reports],
-            "summary": summary,
-        },
-    }
-    _emit(record, args.format)
-    return 1 if summary.get(FAIL, 0) else 0
+    summary = Counter(report.status for report in reports)
+    params = {"grid": [[str(p.r), str(p.s)] for p in grid], "n_max": args.n_max}
+    results = {"reports": [report.to_dict() for report in reports], "summary": summary}
+    return params, results, 1 if summary[FAIL] else 0
 
 
-def _decimal_digits(value) -> int:
-    text = str(abs(value.numerator))
-    return len(text)
-
-
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> tuple[dict, dict, int]:
     tokens = [t for t in (args.name, args.n, args.strategies) if t is not None]
-    name = None
-    if tokens and not _INT_RE.match(tokens[0]):
-        name, tokens = tokens[0], tokens[1:]
+    args.name = tokens.pop(0) if tokens and not _INT_RE.match(tokens[0]) else None
     if not tokens or not _INT_RE.match(tokens[0]):
         raise ValueError("bench requires an index: bench [NAME] N [STRATEGIES]")
     n = int(tokens[0])
-    strategies_spec = tokens[1] if len(tokens) > 1 else "*"
-    args.name = name
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if strategies_spec == "*":
-        chosen = list(STRATEGIES)
-    else:
-        chosen = [part.strip() for part in strategies_spec.split(",") if part.strip()]
-        unknown = [c for c in chosen if c not in STRATEGIES]
-        if unknown:
-            raise ValueError(f"unknown strategies {unknown}; pick from {list(STRATEGIES)}")
+    spec = tokens[1] if len(tokens) > 1 else "*"
+    chosen = list(STRATEGIES) if spec == "*" else [p.strip() for p in spec.split(",") if p.strip()]
+    unknown = [c for c in chosen if c not in STRATEGIES]
+    if unknown:
+        raise ValueError(f"unknown strategies {unknown}; pick from {list(STRATEGIES)}")
     if not chosen:
         raise ValueError("strategy list is empty")
-    name, params = _resolve_params(args)
-    r, s = params.r, params.s
+    name, recurrence = _resolve_params(args)
+    r, s = recurrence.r, recurrence.s
 
     runners = {
         "iterative": lambda: gen_fib(r, s, n),
@@ -284,58 +233,27 @@ def _cmd_bench(args) -> int:
         timings.append({"strategy": strategy, "ms": f"{elapsed_ms:.3f}"})
         values.append(value)
     all_equal = all(value == values[0] for value in values[1:])
-
-    record = {
-        "command": "bench",
-        "params": {
-            "name": name,
-            "r": str(r),
-            "s": str(s),
-            "n": n,
-            "strategies": chosen,
-        },
-        "results": {
-            "digits": _decimal_digits(values[0]),
-            "all_equal": all_equal,
-            "timings": timings,
-        },
+    params = {"name": name, "r": str(r), "s": str(s), "n": n, "strategies": chosen}
+    results = {
+        "digits": len(str(abs(values[0].numerator))),
+        "all_equal": all_equal,
+        "timings": timings,
     }
-    _emit(record, args.format)
-    return 0 if all_equal else 1
+    return params, results, 0 if all_equal else 1
 
 
-def _cmd_registry(args) -> int:
+def _cmd_registry(args) -> tuple[dict, dict, int]:
     path = registry_path(args.registry)
-    if args.action == "add":
-        if path is None:
-            raise ValueError(
-                "no registry file to write: pass --registry PATH or set HORADAM_REGISTRY"
-            )
-        entry = RegistryEntry(
-            args.entry_name,
-            parse_fraction(args.a),
-            parse_fraction(args.b),
-            parse_fraction(args.r),
-            parse_fraction(args.s),
-            source="user",
-        )
-        upsert_entry(path, entry)
-        record = {
-            "command": "registry",
-            "params": {"action": "add", "path": str(path)},
-            "results": {"entries": [entry.to_dict()]},
-        }
-    else:
+    params = {"action": args.action, "path": str(path) if path else None}
+    if args.action == "list":
         entries = load_registry(path)
-        record = {
-            "command": "registry",
-            "params": {"action": "list", "path": str(path) if path else None},
-            "results": {
-                "entries": [entries[key].to_dict() for key in sorted(entries)]
-            },
-        }
-    _emit(record, args.format)
-    return 0
+        return params, {"entries": [entries[key].to_dict() for key in sorted(entries)]}, 0
+    if path is None:
+        raise ValueError("no registry file to write: pass --registry PATH or set HORADAM_REGISTRY")
+    values = [parse_fraction(getattr(args, field)) for field in "abrs"]
+    entry = RegistryEntry(args.entry_name, *values, source="user")
+    upsert_entry(path, entry)
+    return params, {"entries": [entry.to_dict()]}, 0
 
 
 # Built once per process: main() may run many times in one process, and
@@ -396,8 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help='comma list from {%s} or "*"' % ", ".join(STRATEGIES))
     p_bench.add_argument("--r")
     p_bench.add_argument("--s")
-    p_bench.add_argument("--a", help=argparse.SUPPRESS)
-    p_bench.add_argument("--b", help=argparse.SUPPRESS)
     p_bench.add_argument("--registry", help="path to a user registry file")
     add_common(p_bench)
     p_bench.set_defaults(handler=_cmd_bench)
@@ -427,7 +343,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        params, results, code = args.handler(args)
+        _emit({"command": args.command, "params": params, "results": results}, args.format)
+        return code
     except (HoradamError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,6 +25,7 @@ are usually quoted as, for cross-checking.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -261,6 +262,23 @@ _REFERENCE_MATRICES: dict[str, Matrix] = {
 }
 
 
+@functools.cache
+def _classic_table() -> dict[str, ClassicSystem]:
+    pattern = VARIANT_PATTERNS[1]
+    return {
+        name: ClassicSystem(name, derive(r, s, pattern), _REFERENCE_MATRICES[name])
+        for name, r, s in _CLASSIC_PARAMS
+    }
+
+
+def classic_system(name: str) -> ClassicSystem:
+    """The classic system called ``name``, derived once per process."""
+    system = _classic_table().get(name)
+    if system is None:
+        raise ValueError(f"unknown classic system {name!r}")
+    return system
+
+
 def classic_systems() -> list[ClassicSystem]:
     """The Fibonacci, Pell and Jacobsthal instantiations of variant 1.
 
@@ -269,11 +287,7 @@ def classic_systems() -> list[ClassicSystem]:
     from the derivation in one entry, so callers comparing the two should
     treat the derivation as authoritative and report, not fail.
     """
-    pattern = VARIANT_PATTERNS[1]
-    return [
-        ClassicSystem(name, derive(r, s, pattern), _REFERENCE_MATRICES[name])
-        for name, r, s in _CLASSIC_PARAMS
-    ]
+    return list(_classic_table().values())
 
 
 def classic_for(r: Fraction, s: Fraction, pattern: KernelPattern) -> ClassicSystem | None:
@@ -282,7 +296,7 @@ def classic_for(r: Fraction, s: Fraction, pattern: KernelPattern) -> ClassicSyst
         return None
     for name, cr, cs in _CLASSIC_PARAMS:
         if r == cr and s == cs:
-            return ClassicSystem(name, derive(r, s, pattern), _REFERENCE_MATRICES[name])
+            return classic_system(name)
     return None
 
 
@@ -295,8 +309,8 @@ def reference_power(name: str, n: int) -> Matrix:
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    r, s = _classic_params(name)
-    return reference_power_from_window(name, h_window(r, s, n))
+    system = classic_system(name).system
+    return reference_power_from_window(name, h_window(system.r, system.s, n))
 
 
 def reference_power_from_window(name: str, h: tuple) -> Matrix:
@@ -325,9 +339,3 @@ def reference_power_from_window(name: str, h: tuple) -> Matrix:
         ])
     raise ValueError(f"unknown classic system {name!r}")
 
-
-def _classic_params(name: str) -> tuple[int, int]:
-    for classic, r, s in _CLASSIC_PARAMS:
-        if classic == name:
-            return r, s
-    raise ValueError(f"unknown classic system {name!r}")

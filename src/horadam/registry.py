@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 import tempfile
 from dataclasses import dataclass
@@ -16,6 +17,11 @@ from fractions import Fraction
 from pathlib import Path
 
 ENV_VAR = "HORADAM_REGISTRY"
+
+#: Largest exponent magnitude accepted in fraction text such as "1e10000":
+#: Fraction expands the exponent into an integer with that many digits.
+_MAX_EXPONENT = 10_000
+_EXPONENT_RE = re.compile(r"e[-+]?([\d_]+)\Z", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -47,9 +53,20 @@ BUILTIN_ENTRIES: tuple[RegistryEntry, ...] = (
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Exact fraction from CLI text such as "3", "-3/4" or "0.5"."""
+    """Exact fraction from CLI text such as "3", "-3/4", "0.5" or "1e-3".
+
+    An exponent's magnitude may be at most 10,000; a larger one raises
+    ValueError before Fraction builds the integer it stands for.
+    """
+    stripped = str(text).strip()
+    exponent = _EXPONENT_RE.search(stripped)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        # Length first: int() of a long digit string is itself slow.
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise ValueError(f"fraction {text!r} has an exponent of magnitude above {_MAX_EXPONENT}")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed fraction {text!r}: {exc}") from None
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horadam import gen_fib
+from horadam import gen_fib, registry
 from horadam.cli import main
 
 
@@ -151,6 +151,12 @@ class TestSeq:
         code, _, _ = run_cli(capsys, "seq", "fibonacci")
         assert code == 2
 
+    def test_huge_exponent_rejected(self, capsys, monkeypatch):
+        # --r is parsed first, so the patched Fraction fails the test if the text reaches it.
+        monkeypatch.setattr(registry, "Fraction", mock.Mock(side_effect=AssertionError("Fraction reached")))
+        assert run_cli(capsys, "seq", "--r", "1e1000000", "--s", "1", "0..2") == (
+            2, "", "error: fraction '1e1000000' has an exponent of magnitude above 10000\n")
+
 
 class TestDerive:
     def test_fibonacci_matrix(self, capsys):
@@ -262,6 +268,49 @@ class TestVerifyGolden:
         assert out == (GOLDEN / golden).read_bytes().decode()
 
 
+#: Usage errors, pinned as (argv, exit code, stderr).
+USAGE_ERRORS = [
+    (("seq", "nosuch", "0..3"), 2,
+     "error: unknown sequence name 'nosuch' (known: balancing, fibonacci, jacobsthal, pell)\n"),
+    (("seq", "--r", "x", "--s", "1", "0..3"), 2,
+     "error: malformed fraction 'x': Invalid literal for Fraction: 'x'\n"),
+    (("seq", "fibonacci", "5..4"), 2, "error: empty index range [5, 4]\n"),
+    (("seq", "fibonacci"), 2, "error: an index range is required: FROM..TO or --from/--to\n"),
+    (("bench", "fibonacci", "10", "warp"), 2,
+     "error: unknown strategies ['warp']; pick from ['iterative', 'matrix-pow', 'fast-doubling']\n"),
+    (("bench", "fibonacci", "0"), 2, "error: n must be >= 1, got 0\n"),
+    (("verify", "--params", "1,1", "--n-max", "0"), 2, "error: --n-max must be >= 1, got 0\n"),
+    (("registry", "add", "x", "--r", "1", "--s", "1"), 2,
+     "error: no registry file to write: pass --registry PATH or set HORADAM_REGISTRY\n"),
+]
+
+
+class TestCliGolden:
+    """Full stdout of the other commands, and the usage errors, pinned byte for byte."""
+
+    @pytest.mark.parametrize("argv,golden", [
+        (("seq", "fibonacci", "--from=-5", "--to=30"), "seq_fibonacci_from-5_to30.json"),
+        (("seq", "--a", "2", "--b", "1", "--r", "1", "--s", "1", "0..40", "--format", "csv"),
+         "seq_lucas_0_40.csv"),
+        (("seq", "--r", "4", "--s", "3", "--from=-3", "--to=5"), "seq_r4_s3_from-3_to5.json"),
+        (("derive", "--r", "2", "--s", "1", "--pattern", "+-+", "--n", "12", "--format", "csv"),
+         "derive_pell_n12.csv"),
+        (("registry", "list"), "registry_list.json"),
+        (("registry", "list", "--format", "csv"), "registry_list.csv"),
+    ], ids=["seq-fibonacci", "seq-lucas-csv", "seq-fractional", "derive-pell-csv",
+            "registry-json", "registry-csv"])
+    def test_output_is_pinned(self, capsys, monkeypatch, argv, golden):
+        monkeypatch.delenv("HORADAM_REGISTRY", raising=False)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / golden).read_bytes().decode()
+
+    @pytest.mark.parametrize("argv,code,err", USAGE_ERRORS, ids=[" ".join(a) for a, _, _ in USAGE_ERRORS])
+    def test_usage_error_is_pinned(self, capsys, monkeypatch, argv, code, err):
+        monkeypatch.delenv("HORADAM_REGISTRY", raising=False)
+        assert run_cli(capsys, *argv) == (code, "", err)
+
+
 class TestBench:
     def test_all_strategies_agree(self, capsys):
         record = run_json(capsys, "bench", "fibonacci", "50", "*")
@@ -293,6 +342,13 @@ class TestBench:
     def test_zero_index_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "fibonacci", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--a", "--b"])
+    def test_no_seed_flags(self, capsys, flag):
+        # h(n) does not depend on the seeds, so bench takes none.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "fibonacci", "10", flag, "2"])
+        assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
 
     def test_timings_are_decimal_strings(self, capsys):
         record = run_json(capsys, "bench", "fibonacci", "10")

@@ -2,10 +2,11 @@
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from horadam import BUILTIN_ENTRIES, RegistryEntry, load_registry, parse_fraction
+from horadam import BUILTIN_ENTRIES, RegistryEntry, load_registry, parse_fraction, registry
 from horadam.registry import registry_path, resolve, upsert_entry
 
 
@@ -29,10 +30,18 @@ class TestParseFraction:
     @pytest.mark.parametrize(
         "text, expected",
         [("3", Fraction(3)), ("-3/4", Fraction(-3, 4)), (" 5/2 ", Fraction(5, 2)),
-         ("0.5", Fraction(1, 2))],
+         ("0.5", Fraction(1, 2)), ("1e10000", Fraction(10 ** 10000)),
+         ("1e-10000", Fraction(1, 10 ** 10000))],
     )
     def test_valid(self, text, expected):
         assert parse_fraction(text) == expected
+
+    @pytest.mark.parametrize("text", ["1e999999999", "1e-999999999", "1E+10001", "2.5e0_0010001"])
+    def test_exponent_bound(self, monkeypatch, text):
+        # Fraction would spend seconds to minutes expanding these: fail, do not hang, if one reaches it.
+        monkeypatch.setattr(registry, "Fraction", mock.Mock(side_effect=AssertionError("Fraction reached")))
+        with pytest.raises(ValueError, match="exponent of magnitude above 10000"):
+            parse_fraction(text)
 
     @pytest.mark.parametrize("text", ["", "x", "1/0", "3/-4x"])
     def test_malformed(self, text):

@@ -43,3 +43,24 @@ def test_traced_names_resolve():
         if not hasattr(importlib.import_module(f"horadam.{module}"), attr):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_no_unused_imports():
+    # A name imported but never read is dead weight; a deliberate re-export
+    # is marked `# noqa` on its line.
+    unused = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        for node in imports:
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used and "# noqa" not in lines[alias.lineno - 1]:
+                        unused.append(f"{path.name}:{alias.lineno} {name}")
+    assert unused == []
