@@ -33,7 +33,7 @@ from fractions import Fraction
 from .derivation import KernelPattern, classic_for, closed_power, derive
 from .errors import HoradamError
 from .identities import default_grid, matrix_mismatches, run_suite, FAIL
-from .matrices import Matrix, companion
+from .matrices import companion
 from .registry import (
     RegistryEntry,
     load_registry,
@@ -56,8 +56,8 @@ _INT_RE = re.compile(r"^-?\d+$")
 STRATEGIES = ("iterative", "matrix-pow", "fast-doubling")
 
 
-def _matrix_strings(m: Matrix) -> list[list[str]]:
-    return [[str(entry) for entry in row] for row in m.rows]
+def _matrix_strings(rows) -> list[list[str]]:
+    return [[str(entry) for entry in row] for row in rows]
 
 
 def _flatten(value, prefix=""):
@@ -146,8 +146,8 @@ def _cmd_derive(args) -> tuple[dict, dict, int]:
     system = derive(r, s, pattern, t)
     alpha, beta = roots(r, s)
     results = {
-        "matrix": _matrix_strings(system.matrix),
-        "projector": _matrix_strings(system.projector),
+        "matrix": _matrix_strings(system.matrix.rows),
+        "projector": _matrix_strings(system.projector.rows),
         "eigenvectors": _matrix_strings(system.eigenvectors),
         "alpha": str(alpha),
         "beta": str(beta),
@@ -158,8 +158,8 @@ def _cmd_derive(args) -> tuple[dict, dict, int]:
         direct = system.matrix ** args.n
         results["power"] = {
             "n": args.n,
-            "closed_form": _matrix_strings(closed),
-            "matrix_power": _matrix_strings(direct),
+            "closed_form": _matrix_strings(closed.rows),
+            "matrix_power": _matrix_strings(direct.rows),
             "equal": closed == direct,
         }
     classic = classic_for(r, s, pattern)
@@ -338,17 +338,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
+    # Printed integers may have any number of digits: lift CPython's int->str
+    # limit for this call and give the caller back its own, also on SystemExit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         params, results, code = args.handler(args)
         _emit({"command": args.command, "params": params, "results": results}, args.format)
         return code
     except (HoradamError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

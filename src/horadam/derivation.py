@@ -8,8 +8,9 @@ is solved over Q as A = R * B^(-1) with B = [u v z] and R the images of
 u, v, z under A, which are known from the eigenvalues.  The matrix is
 degenerate exactly when r*s3 + s1 + s2 = 0 for signs (s1, s2, s3).  The
 rank-one projector E = B * diag(0, 0, 1) * B^(-1) onto the kernel direction
-(equal to P * diag(0, 0, 1) * P^(-1) for the eigenvector matrix P) then
-gives the closed form
+(equal to P * diag(0, 0, 1) * P^(-1) for the eigenvector matrix P over
+Q(sqrt(D)), which is kept only as rows for display) then gives the closed
+form
 
     A^n = h(n) * A + s * h(n-1) * (I - E)
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateEigenbasisError, DomainError, HoradamError
-from .exact import RationalLike, as_fraction
+from .exact import QuadElem, RationalLike, as_fraction
 from .matrices import Matrix
 from .sequences import fast_gen_fib, h_window, roots  # noqa: F401  (perfbench reaches derivation.fast_gen_fib)
 
@@ -70,11 +71,12 @@ _PATTERN_VARIANTS = {pattern: k for k, pattern in VARIANT_PATTERNS.items()}
 @dataclass(frozen=True)
 class DerivedSystem:
     """Output of :func:`derive`: the matrix, its kernel projector, and the
-    eigenvector matrix P (columns x, y, z) over Q(sqrt(D))."""
+    rows of the eigenvector matrix P (columns x, y, z) over Q(sqrt(D)),
+    kept for display."""
 
     matrix: Matrix
     projector: Matrix
-    eigenvectors: Matrix
+    eigenvectors: tuple[tuple[QuadElem | RationalLike, ...], ...]
     r: Fraction
     s: Fraction
     pattern: KernelPattern
@@ -140,7 +142,7 @@ def derive(
     return DerivedSystem(
         matrix=a,
         projector=e,
-        eigenvectors=Matrix([[alpha, beta, z[0]], [beta, alpha, z[1]], [-1, -1, z[2]]]),
+        eigenvectors=((alpha, beta, z[0]), (beta, alpha, z[1]), (-1, -1, z[2])),
         r=r,
         s=s,
         pattern=pattern,

@@ -1,9 +1,10 @@
 """Exact scalar arithmetic.
 
-Two scalar kinds appear in this package: reduced rationals (plain
-``fractions.Fraction``) and elements ``p + q*sqrt(D)`` of a real quadratic
-extension, held by :class:`QuadElem`.  Everything is immutable and every
-operation is exact; nothing here ever rounds.
+Sequence values and matrix entries are reduced rationals (plain
+``fractions.Fraction``); the roots alpha, beta of x^2 - r*x - s and their
+powers are elements ``p + q*sqrt(D)`` of a real quadratic extension, held
+by :class:`QuadElem`.  Everything is immutable and every operation is
+exact; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -24,15 +25,6 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
-def rat_normalize(num: int, den: int = 1) -> Fraction:
-    """The unique reduced representative of num/den.
-
-    Denominator comes out positive, gcd(|num|, den) = 1, and zero is 0/1.
-    A zero denominator raises ZeroDivisionError.
-    """
-    return Fraction(num, den)
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:
@@ -87,14 +79,6 @@ class QuadElem:
     @property
     def disc(self) -> Fraction:
         return self._disc
-
-    @classmethod
-    def from_rational(cls, value: RationalLike, disc: RationalLike) -> QuadElem:
-        return cls(value, 0, disc)
-
-    @classmethod
-    def zero(cls, disc: RationalLike) -> QuadElem:
-        return cls(0, 0, disc)
 
     @classmethod
     def one(cls, disc: RationalLike) -> QuadElem:
@@ -200,12 +184,8 @@ class QuadElem:
             n >>= 1
         return result
 
-    def conj(self) -> QuadElem:
-        """Conjugate: negate the sqrt(disc) coefficient."""
-        return QuadElem(self._rat, -self._irr, self._disc)
-
     def norm(self) -> Fraction:
-        """self * conj(self), always rational."""
+        """self times its conjugate rat - irr*sqrt(disc), always rational."""
         return self._rat * self._rat - self._irr * self._irr * self._disc
 
     def inverse(self) -> QuadElem:
@@ -216,10 +196,6 @@ class QuadElem:
         # norm = 0 with self != 0 would need disc to be a perfect square of
         # a rational, and those representations fold to irr = 0 on input.
         return QuadElem(self._rat / n, -self._irr / n, self._disc)
-
-    @property
-    def is_rational(self) -> bool:
-        return not self._irr
 
     def to_fraction(self) -> Fraction:
         if self._irr:

@@ -1,9 +1,9 @@
-"""Small dense matrices with exact entries.
+"""Small dense matrices with exact rational entries.
 
-Entries are Fractions or QuadElems (one discriminant per matrix).  The
-package only ever needs 2x2 and 3x3 square matrices plus column vectors,
-so determinants and inverses are implemented by cofactor expansion and the
-adjugate, which are branch-free and exact.
+Entries are Fractions (ints are coerced; anything else is a TypeError).
+The package only needs 2x2 and 3x3 square matrices plus column vectors, so
+determinants use cofactor expansion and the one inverse it takes, of the 3x3
+basis in :func:`~horadam.derivation.derive`, the adjugate; both are exact.
 """
 
 from __future__ import annotations
@@ -12,52 +12,35 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError, SingularMatrixError
-from .exact import QuadElem, RationalLike, as_fraction
+from .exact import QuadElem  # noqa: F401  (perfbench reaches matrices.QuadElem)
+from .exact import RationalLike, as_fraction
 from .sequences import h_window
-
-Scalar = Fraction | QuadElem
-
-
-def _as_scalar(value: object) -> Scalar:
-    if isinstance(value, QuadElem):
-        return value
-    return as_fraction(value)  # type: ignore[arg-type]
-
-
-def _one_like(value: Scalar) -> Scalar:
-    if isinstance(value, QuadElem):
-        return QuadElem.one(value.disc)
-    return Fraction(1)
 
 
 class Matrix:
-    """An immutable matrix of exact scalars."""
+    """An immutable matrix of exact rationals."""
 
     __slots__ = ("_rows",)
 
-    def __init__(self, rows: Iterable[Sequence[object]]) -> None:
-        data = tuple(tuple(_as_scalar(entry) for entry in row) for row in rows)
+    def __init__(self, rows: Iterable[Sequence[RationalLike]]) -> None:
+        data = tuple(tuple(as_fraction(entry) for entry in row) for row in rows)
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and column")
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise ValueError("rows must all have the same length")
-        discs = {entry.disc for row in data for entry in row
-                 if isinstance(entry, QuadElem)}
-        if len(discs) > 1:
-            raise ValueError(f"entries mix discriminants: {sorted(discs)}")
         self._rows = data
 
     @classmethod
-    def _trusted(cls, data: tuple[tuple[Scalar, ...], ...]) -> Matrix:
+    def _trusted(cls, data: tuple[tuple[Fraction, ...], ...]) -> Matrix:
         """Wrap rows that need no validation: the entrywise results of exact
-        arithmetic on valid matrices, which keep one shape and one discriminant."""
+        arithmetic on valid matrices, which keep one shape and Fraction entries."""
         matrix = object.__new__(cls)
         matrix._rows = data
         return matrix
 
     @property
-    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._rows
 
     @property
@@ -73,20 +56,18 @@ class Matrix:
         return self.nrows, self.ncols
 
     @classmethod
-    def identity(cls, n: int, like: Scalar | None = None) -> Matrix:
-        one = _one_like(like) if like is not None else Fraction(1)
-        zero = one - one
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+    def identity(cls, n: int) -> Matrix:
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def column(cls, entries: Sequence[object]) -> Matrix:
+    def column(cls, entries: Sequence[RationalLike]) -> Matrix:
         return cls([[entry] for entry in entries])
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in row) for row in self._rows)
         return f"Matrix[{body}]"
 
-    def __getitem__(self, key: tuple[int, int]) -> Scalar:
+    def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         return self._rows[i][j]
 
@@ -132,12 +113,12 @@ class Matrix:
             return Matrix._trusted(tuple(
                 tuple(_dot(row, col) for col in cols) for row in self._rows
             ))
-        if isinstance(other, (int, Fraction, QuadElem)):
+        if isinstance(other, (int, Fraction)):
             return Matrix._trusted(tuple(tuple(e * other for e in row) for row in self._rows))
         return NotImplemented
 
     def __rmul__(self, other: object) -> Matrix:
-        if isinstance(other, (int, Fraction, QuadElem)):
+        if isinstance(other, (int, Fraction)):
             return Matrix._trusted(tuple(tuple(other * e for e in row) for row in self._rows))
         return NotImplemented
 
@@ -148,7 +129,7 @@ class Matrix:
             raise ValueError("negative powers are not supported; invert explicitly")
         if self.nrows != self.ncols:
             raise ValueError("only square matrices can be raised to a power")
-        result = Matrix.identity(self.nrows, like=self._rows[0][0])
+        result = Matrix.identity(self.nrows)
         base = self
         n = exponent
         while n > 0:
@@ -159,7 +140,7 @@ class Matrix:
                 base = base * base
         return result
 
-    def trace(self) -> Scalar:
+    def trace(self) -> Fraction:
         if self.nrows != self.ncols:
             raise ValueError("trace of a non-square matrix")
         diag = [self._rows[i][i] for i in range(self.nrows)]
@@ -168,35 +149,27 @@ class Matrix:
             total = total + entry
         return total
 
-    def det(self) -> Scalar:
+    def det(self) -> Fraction:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         r = self._rows
-        if self.nrows == 1:
-            return r[0][0]
         if self.nrows == 2:
             return r[0][0] * r[1][1] - r[0][1] * r[1][0]
         if self.nrows == 3:
             return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
                     - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
                     + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
-        raise ValueError("determinant implemented for sizes 1..3 only")
+        raise ValueError("determinant implemented for sizes 2 and 3 only")
 
     def inverse(self) -> Matrix:
-        """Exact inverse via adjugate over determinant."""
+        """Exact inverse of a 3x3 matrix via adjugate over determinant."""
+        if self.shape != (3, 3):
+            raise ValueError(f"inverse implemented for 3x3 matrices only, got {self.shape}")
         d = self.det()
         if d == 0:
             raise SingularMatrixError("matrix is singular")
         inv_det = 1 / d
-        n = self.nrows
-        if n == 1:
-            return Matrix([[inv_det]])
         r = self._rows
-        if n == 2:
-            return Matrix([
-                [r[1][1] * inv_det, -r[0][1] * inv_det],
-                [-r[1][0] * inv_det, r[0][0] * inv_det],
-            ])
         cof = [
             [
                 _cofactor_sign(i, j) * _minor2(r, i, j)
@@ -210,7 +183,7 @@ class Matrix:
         )
 
 
-def _dot(row: Sequence[Scalar], col: Sequence[Scalar]) -> Scalar:
+def _dot(row: Sequence[Fraction], col: Sequence[Fraction]) -> Fraction:
     total = row[0] * col[0]
     for a, b in zip(row[1:], col[1:]):
         total = total + a * b
@@ -221,7 +194,7 @@ def _cofactor_sign(i: int, j: int) -> int:
     return -1 if (i + j) & 1 else 1
 
 
-def _minor2(rows: Sequence[Sequence[Scalar]], i: int, j: int) -> Scalar:
+def _minor2(rows: Sequence[Sequence[Fraction]], i: int, j: int) -> Fraction:
     sub = [[rows[p][q] for q in range(3) if q != j] for p in range(3) if p != i]
     return sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
 

@@ -21,6 +21,8 @@ ENV_VAR = "HORADAM_REGISTRY"
 #: Largest exponent magnitude accepted in fraction text such as "1e10000":
 #: Fraction expands the exponent into an integer with that many digits.
 _MAX_EXPONENT = 10_000
+#: Longest fraction text accepted: CPython 3.11 parses decimal text in quadratic time.
+_MAX_TEXT = 10_000
 _EXPONENT_RE = re.compile(r"e[-+]?([\d_]+)\Z", re.IGNORECASE)
 
 
@@ -55,10 +57,13 @@ BUILTIN_ENTRIES: tuple[RegistryEntry, ...] = (
 def parse_fraction(text: str) -> Fraction:
     """Exact fraction from CLI text such as "3", "-3/4", "0.5" or "1e-3".
 
-    An exponent's magnitude may be at most 10,000; a larger one raises
-    ValueError before Fraction builds the integer it stands for.
+    The stripped text may be at most 10,000 characters long and an
+    exponent's magnitude at most 10,000; either excess raises ValueError
+    before any integer is built from the text.
     """
     stripped = str(text).strip()
+    if len(stripped) > _MAX_TEXT:
+        raise ValueError(f"fraction text of {len(stripped)} characters is longer than {_MAX_TEXT}")
     exponent = _EXPONENT_RE.search(stripped)
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0")

@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -28,6 +29,18 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+@pytest.fixture
+def caller_digit_limit():
+    """CPython's default int->str digit limit, as a fresh interpreter has it
+    (tests/test_acceptance.py lifts it at import); restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int->str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
 
 
 def flatten(value, prefix=""):
@@ -356,9 +369,22 @@ class TestBench:
             float(timing["ms"])  # parseable
             assert isinstance(timing["ms"], str)
 
-    def test_million_index_digit_count(self, capsys):
+    def test_million_index_digit_count(self, capsys, caller_digit_limit):
         record = run_json(capsys, "bench", "fibonacci", "1000000", "fast-doubling")
         assert record["results"]["digits"] == 208988
+        assert sys.get_int_max_str_digits() == caller_digit_limit
+
+
+class TestDigitLimit:
+    def test_main_restores_the_callers_limit(self, capsys, monkeypatch, caller_digit_limit):
+        monkeypatch.delenv("HORADAM_REGISTRY", raising=False)
+        assert run_cli(capsys, "registry", "list")[0] == 0
+        assert sys.get_int_max_str_digits() == caller_digit_limit
+        assert run_cli(capsys, "derive", "--r", "0", "--s", "1", "--pattern", "+-+")[0] == 2
+        assert sys.get_int_max_str_digits() == caller_digit_limit
+        with pytest.raises(SystemExit):
+            main(["verify", "--n-max", "x"])
+        assert sys.get_int_max_str_digits() == caller_digit_limit
 
 
 class TestRegistryCommand:
@@ -399,6 +425,18 @@ class TestRegistryCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert path.read_text() == "[1]"
+
+    def test_value_text_length_bound(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "reg.json"
+        entry = {"name": "long", "a": "9" * 10_000, "b": "1", "r": "1", "s": "1"}
+        path.write_text(json.dumps([entry]))
+        listing = run_json(capsys, "registry", "list", "--registry", str(path))
+        assert dict(entry, source="user") in listing["results"]["entries"]
+        path.write_text(json.dumps([dict(entry, a="9" * 10_001)]))
+        # CPython 3.11 parses long decimal text in quadratic time: fail if this text reaches Fraction.
+        monkeypatch.setattr(registry, "Fraction", mock.Mock(side_effect=AssertionError("Fraction reached")))
+        assert run_cli(capsys, "registry", "list", "--registry", str(path)) == (
+            2, "", "error: fraction text of 10001 characters is longer than 10000\n")
 
     def test_add_without_target(self, capsys, monkeypatch):
         monkeypatch.delenv("HORADAM_REGISTRY", raising=False)

@@ -9,7 +9,6 @@ from horadam import (
     DomainError,
     KernelPattern,
     Matrix,
-    QuadElem,
     VARIANT_PATTERNS,
     classic_for,
     classic_systems,
@@ -41,20 +40,42 @@ FRACTIONAL_GRID = [
 ]
 
 
-def eigen_residuals_zero(system):
-    """Re-check A x = alpha x, A y = beta y, A z = 0 from scratch."""
+def matvec(m, v):
+    """m*v for 3x3 rows m and a vector v over Q(sqrt(D)), summed entry by
+    entry so that the oracle shares no code with Matrix.__mul__."""
+    return [sum(m[i][k] * v[k] for k in range(3)) for i in range(3)]
+
+
+def eigenpairs(system):
+    """alpha, beta and the eigenvectors x, y, z rebuilt from r, s and the signs."""
     alpha, beta = roots(system.r, system.s)
-    disc = alpha.disc
-    minus_one = QuadElem.from_rational(-1, disc)
-    x = Matrix.column([alpha, beta, minus_one])
-    y = Matrix.column([beta, alpha, minus_one])
-    z = Matrix.column([QuadElem.from_rational(v, disc) for v in system.pattern.signs])
-    zero = QuadElem.zero(disc)
+    return alpha, beta, (alpha, beta, -1), (beta, alpha, -1), system.pattern.signs
+
+
+def eigen_residuals_zero(system, a=None):
+    """Re-check A x = alpha x, A y = beta y, A z = 0 from scratch; ``a``
+    replaces the rows of the derived matrix."""
+    alpha, beta, x, y, z = eigenpairs(system)
+    a = system.matrix.rows if a is None else a
     return (
-        system.matrix * x == alpha * x
-        and system.matrix * y == beta * y
-        and system.matrix * z == zero * z
+        matvec(a, x) == [alpha * c for c in x]
+        and matvec(a, y) == [beta * c for c in y]
+        and matvec(a, z) == [0, 0, 0]
     )
+
+
+def projector_residuals_zero(system, e=None):
+    """Re-check E x = E y = 0 and E z = z from scratch; ``e`` replaces the
+    rows of the derived projector.  P = [x y z] is invertible, so this is
+    E = P diag(0,0,1) P^(-1) without an inverse over Q(sqrt(D))."""
+    _, _, x, y, z = eigenpairs(system)
+    e = system.projector.rows if e is None else e
+    return matvec(e, x) == [0, 0, 0] and matvec(e, y) == [0, 0, 0] and matvec(e, z) == list(z)
+
+
+def bumped(rows, i, j):
+    """rows with entry (i, j) increased by 1."""
+    return [[v + 1 if (p, q) == (i, j) else v for q, v in enumerate(row)] for p, row in enumerate(rows)]
 
 
 class TestKernelPattern:
@@ -100,6 +121,14 @@ class TestDerive:
     @pytest.mark.parametrize("r,s", [(1, 1), (3, 2), (5, 3), (6, -1), FRACTIONAL_GRID[2]])
     def test_eigen_residuals(self, r, s, pattern):
         assert eigen_residuals_zero(derive(r, s, pattern))
+
+    @pytest.mark.parametrize("r,s", [(1, 1), (6, -1), FRACTIONAL_GRID[2]])
+    def test_residual_oracles_catch_one_changed_entry(self, r, s):
+        system = derive(r, s, P1)
+        for i in range(3):
+            for j in range(3):
+                assert not eigen_residuals_zero(system, bumped(system.matrix.rows, i, j))
+                assert not projector_residuals_zero(system, bumped(system.projector.rows, i, j))
 
     @pytest.mark.parametrize("pattern", [P1, P2, P3])
     def test_spectral_facts(self, pattern):
@@ -180,22 +209,8 @@ class TestProjector:
         )
 
     def test_matches_independent_reconstruction(self):
-        # E = P diag(0,0,1) P^(-1) assembled from scratch
         for r, s in [(1, 1), (3, 2), (6, -1)]:
-            system = derive(r, s, P1)
-            alpha, beta = roots(r, s)
-            disc = alpha.disc
-            one = QuadElem.one(disc)
-            zero = QuadElem.zero(disc)
-            minus_one = -one
-            p = Matrix([
-                [alpha, beta, one],
-                [beta, alpha, -one],
-                [minus_one, minus_one, one],
-            ])
-            diag = Matrix([[zero, zero, zero], [zero, zero, zero], [zero, zero, one]])
-            rebuilt = p * diag * p.inverse()
-            assert rebuilt == system.projector
+            assert projector_residuals_zero(derive(r, s, P1))
 
     @pytest.mark.parametrize("pattern", [P1, P2, P3])
     def test_projector_algebra(self, pattern):

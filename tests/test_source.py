@@ -64,3 +64,21 @@ def test_no_unused_imports():
                     if name not in used and "# noqa" not in lines[alias.lineno - 1]:
                         unused.append(f"{path.name}:{alias.lineno} {name}")
     assert unused == []
+
+
+def test_public_surface():
+    # Adding or removing a public name must be deliberate: edit this list with it.
+    assert sorted(horadam.__all__) == [
+        "BUILTIN_ENTRIES", "ClassicSystem", "DegenerateEigenbasisError", "DerivedSystem", "DomainError",
+        "FirstFailure", "HoradamError", "IdentityReport", "KernelPattern", "Matrix", "QuadElem",
+        "RecurrenceParams", "RegistryEntry", "SeqValue", "SingularMatrixError", "VARIANT_PATTERNS",
+        "as_fraction", "binet_eval", "check_binet", "check_cassini", "check_closed_power",
+        "check_companion_decomposition", "check_companion_power", "check_cubic",
+        "check_linear_approximation", "check_power_det_zero", "check_power_form",
+        "check_projector_algebra", "check_reference_matrix", "check_reference_power", "classic_for",
+        "classic_systems", "closed_power", "companion", "companion_decomposition_check",
+        "companion_power_form", "default_grid", "derive", "fast_gen_fib", "gen_fib", "horadam_eval",
+        "horadam_range", "linear_approx_check", "load_registry", "matrix_mismatches", "parse_fraction",
+        "power_form", "preset_matrix", "rational_sqrt", "reference_power", "roots", "run_suite",
+    ]
+    assert [name for name in horadam.__all__ if not hasattr(horadam, name)] == []
