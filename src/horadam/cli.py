@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from .derivation import KernelPattern, classic_for, closed_power, derive
 from .errors import HoradamError
+from .exact import unlimited_int_digits
 from .identities import default_grid, matrix_mismatches, run_suite, FAIL
 from .matrices import companion
 from .registry import (
@@ -201,6 +202,18 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
     return params, results, 1 if summary[FAIL] else 0
 
 
+def _decimal_digits(n: int) -> int:
+    """len(str(abs(n))) without int->str, which is quadratic in CPython 3.11."""
+    n = abs(n)
+    # 1233/4096 < log10(2), so this starts at or below the count.
+    digits = 1 + (max(n.bit_length() - 1, 0) * 1233 >> 12)
+    bound = 10 ** digits
+    while n >= bound:
+        digits += 1
+        bound *= 10
+    return digits
+
+
 def _cmd_bench(args) -> tuple[dict, dict, int]:
     tokens = [t for t in (args.name, args.n, args.strategies) if t is not None]
     args.name = tokens.pop(0) if tokens and not _INT_RE.match(tokens[0]) else None
@@ -235,7 +248,7 @@ def _cmd_bench(args) -> tuple[dict, dict, int]:
     all_equal = all(value == values[0] for value in values[1:])
     params = {"name": name, "r": str(r), "s": str(s), "n": n, "strategies": chosen}
     results = {
-        "digits": len(str(abs(values[0].numerator))),
+        "digits": _decimal_digits(values[0].numerator),
         "all_equal": all_equal,
         "timings": timings,
     }
@@ -340,20 +353,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     # Printed integers may have any number of digits: lift CPython's int->str
     # limit for this call and give the caller back its own, also on SystemExit.
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        args = _build_parser().parse_args(argv)
-        params, results, code = args.handler(args)
-        _emit({"command": args.command, "params": params, "results": results}, args.format)
-        return code
-    except (HoradamError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    with unlimited_int_digits():
+        try:
+            args = _build_parser().parse_args(argv)
+            params, results, code = args.handler(args)
+            _emit({"command": args.command, "params": params, "results": results}, args.format)
+            return code
+        except (HoradamError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

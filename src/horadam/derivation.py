@@ -30,10 +30,11 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateEigenbasisError, DomainError, HoradamError
+from .errors import DegenerateEigenbasisError, DomainError, HoradamError, SingularMatrixError
 from .exact import QuadElem, RationalLike, as_fraction
 from .matrices import Matrix
-from .sequences import fast_gen_fib, h_window, roots  # noqa: F401  (perfbench reaches derivation.fast_gen_fib)
+from .sequences import fast_gen_fib  # noqa: F401  (perfbench reaches derivation.fast_gen_fib)
+from .sequences import h_window, roots
 
 
 @dataclass(frozen=True)
@@ -126,18 +127,19 @@ def derive(
     z = [t * sign for sign in pattern.signs]
 
     basis = Matrix([[r, 1, z[0]], [r, -1, z[1]], [-2, 0, z[2]]])
-    if basis.det() == 0:
+    try:
+        basis_inv = basis.inverse()
+    except SingularMatrixError:
         raise DegenerateEigenbasisError(
             f"eigenvectors are linearly dependent for r={r}, s={s}, pattern {pattern}"
-        )
+        ) from None
     # Columns: A*u = alpha*x + beta*y, A*v = (alpha*x - beta*y)/sqrt(D), A*z = 0.
     images = Matrix([[r * r + 2 * s, r, 0], [-2 * s, 0, 0], [-r, -1, 0]])
-    basis_inv = basis.inverse()
     a = images * basis_inv
     if a * basis != images:
         raise HoradamError(f"derived matrix fails its eigen-equations at r={r}, s={s}")
     # E = B * diag(0, 0, 1) * B^(-1): column z times the last row of B^(-1).
-    e = Matrix.column(z) * Matrix([basis_inv.rows[2]])
+    e = Matrix([[z_i * w for w in basis_inv.rows[2]] for z_i in z])
 
     return DerivedSystem(
         matrix=a,

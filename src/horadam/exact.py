@@ -9,6 +9,8 @@ exact; nothing here ever rounds.
 
 from __future__ import annotations
 
+import contextlib
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -25,6 +27,32 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply, starting from ``one``."""
+    result = one
+    while n > 0:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift CPython's int<->str digit limit inside the block and give the
+    caller back its own limit on every exit."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:
@@ -174,15 +202,7 @@ class QuadElem:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QuadElem.one(self._disc)
-        base = self
-        n = exponent
-        while n > 0:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, exponent, QuadElem.one(self._disc))
 
     def norm(self) -> Fraction:
         """self times its conjugate rat - irr*sqrt(disc), always rational."""

@@ -103,12 +103,12 @@ def _matrix_text(m: Matrix) -> str:
 
 def matrix_mismatches(left: Matrix, right: Matrix) -> list[tuple[int, int, str, str]]:
     """(row, col, left, right) for every entry where the matrices differ."""
-    if left.shape != right.shape:
-        raise ValueError(f"shape mismatch: {left.shape} vs {right.shape}")
+    if left.size != right.size:
+        raise ValueError(f"size mismatch: {left.size} vs {right.size}")
     return [
         (i, j, str(left[i, j]), str(right[i, j]))
-        for i in range(left.nrows)
-        for j in range(left.ncols)
+        for i in range(left.size)
+        for j in range(left.size)
         if left[i, j] != right[i, j]
     ]
 
@@ -209,14 +209,15 @@ def check_projector_algebra(variant: int, r: RationalLike, s: RationalLike) -> I
         (1, e * e, e),
         (1, a * e, zero),
         (1, e * a, zero),
-        (1, Matrix([[a.det()]]), Matrix([[0]])),
-        (1, Matrix([[a.trace()]]), Matrix([[r]])),
+        (1, a.det(), 0),
+        (1, a.trace(), r),
         (3, a * a * a, r * (a * a) + s * a),
     ]
     for index, lhs, rhs in facts:
         if lhs != rhs:
-            failure = FirstFailure(index, _matrix_text(lhs), _matrix_text(rhs))
-            return _report(name, r, s, 1, 3, failure)
+            # A scalar side is bracketed like a matrix: "[x]".
+            text = _matrix_text if isinstance(lhs, Matrix) else "[{}]".format
+            return _report(name, r, s, 1, 3, FirstFailure(index, text(lhs), text(rhs)))
     return _report(name, r, s, 1, 3)
 
 
@@ -289,8 +290,8 @@ def check_reference_power(name: str, n_max: int) -> IdentityReport:
     entry = classic_system(name)
     r, s = entry.system.r, entry.system.s
     a = entry.system.matrix
-    found = _sweep(r, s, 1, n_max, [a], [a],
-                   lambda h, power: next(iter(matrix_mismatches(power, reference_power_from_window(name, h))), None))
+    found = _sweep(r, s, 1, n_max, [a], [a], lambda h, power: next(
+        iter(matrix_mismatches(power, reference_power_from_window(name, h))), None))
     if found is None:
         return IdentityReport(f"reference_power_{name}", r, s, 1, n_max, PASS)
     n, (i, j, lhs, rhs) = found

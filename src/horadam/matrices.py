@@ -1,40 +1,39 @@
-"""Small dense matrices with exact rational entries.
+"""Square 2x2 and 3x3 matrices with exact rational entries.
 
-Entries are Fractions (ints are coerced; anything else is a TypeError).
-The package only needs 2x2 and 3x3 square matrices plus column vectors, so
-determinants use cofactor expansion and the one inverse it takes, of the 3x3
-basis in :func:`~horadam.derivation.derive`, the adjugate; both are exact.
+Entries are Fractions (ints are coerced; anything else is a TypeError).  The
+2x2 size holds the companion matrix, the 3x3 size the matrices with spectrum
+{alpha, beta, 0}.  Determinants use cofactor expansion and the one inverse,
+of the basis in :func:`~horadam.derivation.derive`, the adjugate.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError, SingularMatrixError
 from .exact import QuadElem  # noqa: F401  (perfbench reaches matrices.QuadElem)
-from .exact import RationalLike, as_fraction
+from .exact import RationalLike, as_fraction, power
 from .sequences import h_window
 
 
 class Matrix:
-    """An immutable matrix of exact rationals."""
+    """An immutable square 2x2 or 3x3 matrix of exact rationals."""
 
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Sequence[RationalLike]]) -> None:
         data = tuple(tuple(as_fraction(entry) for entry in row) for row in rows)
-        if not data or not data[0]:
-            raise ValueError("matrix must have at least one row and column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise ValueError("rows must all have the same length")
+        if len(data) not in (2, 3) or any(len(row) != len(data) for row in data):
+            raise ValueError("matrix must be square 2x2 or 3x3, "
+                             f"got row lengths {[len(row) for row in data]}")
         self._rows = data
 
     @classmethod
     def _trusted(cls, data: tuple[tuple[Fraction, ...], ...]) -> Matrix:
         """Wrap rows that need no validation: the entrywise results of exact
-        arithmetic on valid matrices, which keep one shape and Fraction entries."""
+        arithmetic on valid matrices, which keep one size and Fraction entries."""
         matrix = object.__new__(cls)
         matrix._rows = data
         return matrix
@@ -44,24 +43,13 @@ class Matrix:
         return self._rows
 
     @property
-    def nrows(self) -> int:
+    def size(self) -> int:
+        """The number of rows, which is also the number of columns."""
         return len(self._rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self._rows[0])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.nrows, self.ncols
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def column(cls, entries: Sequence[RationalLike]) -> Matrix:
-        return cls([[entry] for entry in entries])
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in row) for row in self._rows)
@@ -74,41 +62,27 @@ class Matrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.shape == other.shape and all(
-            a == b for ra, rb in zip(self._rows, other._rows) for a, b in zip(ra, rb)
-        )
+        return self._rows == other._rows
 
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other: Matrix) -> Matrix:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Matrix._trusted(tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self._rows, other._rows)
-        ))
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other: Matrix) -> Matrix:
+        return self._entrywise(operator.sub, other)
+
+    def _entrywise(self, op, other: Matrix) -> Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Matrix._trusted(tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self._rows, other._rows)
-        ))
-
-    def __neg__(self) -> Matrix:
-        return Matrix._trusted(tuple(tuple(-e for e in row) for row in self._rows))
+        if self.size != other.size:
+            raise ValueError(f"size mismatch: {self.size} vs {other.size}")
+        return Matrix._trusted(tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self._rows, other._rows)))
 
     def __mul__(self, other: object) -> Matrix:
         if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise ValueError(
-                    f"incompatible shapes for product: {self.shape} x {other.shape}"
-                )
+            if self.size != other.size:
+                raise ValueError(f"size mismatch: {self.size} vs {other.size}")
             cols = tuple(zip(*other._rows))
             return Matrix._trusted(tuple(
                 tuple(_dot(row, col) for col in cols) for row in self._rows
@@ -117,70 +91,42 @@ class Matrix:
             return Matrix._trusted(tuple(tuple(e * other for e in row) for row in self._rows))
         return NotImplemented
 
-    def __rmul__(self, other: object) -> Matrix:
-        if isinstance(other, (int, Fraction)):
-            return Matrix._trusted(tuple(tuple(other * e for e in row) for row in self._rows))
-        return NotImplemented
+    # Scalars commute with Fraction entries; a Matrix on the left never reaches here.
+    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Matrix:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative powers are not supported; invert explicitly")
-        if self.nrows != self.ncols:
-            raise ValueError("only square matrices can be raised to a power")
-        result = Matrix.identity(self.nrows)
-        base = self
-        n = exponent
-        while n > 0:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, exponent, Matrix.identity(self.size))
 
     def trace(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise ValueError("trace of a non-square matrix")
-        diag = [self._rows[i][i] for i in range(self.nrows)]
-        total = diag[0]
-        for entry in diag[1:]:
-            total = total + entry
-        return total
+        return sum(row[i] for i, row in enumerate(self._rows))
 
     def det(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
         r = self._rows
-        if self.nrows == 2:
+        if len(r) == 2:
             return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        if self.nrows == 3:
-            return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-                    - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-                    + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
-        raise ValueError("determinant implemented for sizes 2 and 3 only")
+        return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
 
     def inverse(self) -> Matrix:
-        """Exact inverse of a 3x3 matrix via adjugate over determinant."""
-        if self.shape != (3, 3):
-            raise ValueError(f"inverse implemented for 3x3 matrices only, got {self.shape}")
-        d = self.det()
-        if d == 0:
+        """Exact inverse of a 3x3 matrix: the adjugate over the determinant."""
+        if self.size != 3:
+            raise ValueError(f"inverse implemented for 3x3 matrices only, got {self.size}x{self.size}")
+        det = self.det()
+        if det == 0:
             raise SingularMatrixError("matrix is singular")
-        inv_det = 1 / d
-        r = self._rows
-        cof = [
-            [
-                _cofactor_sign(i, j) * _minor2(r, i, j)
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-        # adjugate = transpose of the cofactor matrix
-        return Matrix(
-            [[cof[j][i] * inv_det for j in range(3)] for i in range(3)]
+        (a, b, c), (d, e, f), (g, h, i) = self._rows
+        adjugate = (
+            (e * i - f * h, c * h - b * i, b * f - c * e),
+            (f * g - d * i, a * i - c * g, c * d - a * f),
+            (d * h - e * g, b * g - a * h, a * e - b * d),
         )
+        inv_det = 1 / det
+        return Matrix._trusted(tuple(tuple(e * inv_det for e in row) for row in adjugate))
 
 
 def _dot(row: Sequence[Fraction], col: Sequence[Fraction]) -> Fraction:
@@ -188,15 +134,6 @@ def _dot(row: Sequence[Fraction], col: Sequence[Fraction]) -> Fraction:
     for a, b in zip(row[1:], col[1:]):
         total = total + a * b
     return total
-
-
-def _cofactor_sign(i: int, j: int) -> int:
-    return -1 if (i + j) & 1 else 1
-
-
-def _minor2(rows: Sequence[Sequence[Fraction]], i: int, j: int) -> Fraction:
-    sub = [[rows[p][q] for q in range(3) if q != j] for p in range(3) if p != i]
-    return sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
 
 
 def companion(r: RationalLike, s: RationalLike) -> Matrix:

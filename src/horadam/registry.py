@@ -1,8 +1,9 @@
 """Named parameter sets: built-ins plus optional user registries.
 
 A registry file is a JSON array of objects with keys name, a, b, r, s;
-all numeric values are exact fraction strings.  User entries are merged
-over the built-ins and win on (case-insensitive) name collision.
+numeric values are fraction strings, and a bare JSON number is read as its
+text.  User entries are merged over the built-ins and win on
+(case-insensitive) name collision.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from .exact import unlimited_int_digits
+
 ENV_VAR = "HORADAM_REGISTRY"
 
 #: Largest exponent magnitude accepted in fraction text such as "1e10000":
@@ -24,6 +27,8 @@ _MAX_EXPONENT = 10_000
 #: Longest fraction text accepted: CPython 3.11 parses decimal text in quadratic time.
 _MAX_TEXT = 10_000
 _EXPONENT_RE = re.compile(r"e[-+]?([\d_]+)\Z", re.IGNORECASE)
+#: Longest text quoted whole in an error message.
+_MAX_QUOTE = 40
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,8 @@ def parse_fraction(text: str) -> Fraction:
 
     The stripped text may be at most 10,000 characters long and an
     exponent's magnitude at most 10,000; either excess raises ValueError
-    before any integer is built from the text.
+    before any integer is built from the text.  Within those bounds the
+    result does not depend on the caller's int<->str digit limit.
     """
     stripped = str(text).strip()
     if len(stripped) > _MAX_TEXT:
@@ -69,11 +75,20 @@ def parse_fraction(text: str) -> Fraction:
         digits = exponent[1].replace("_", "").lstrip("0")
         # Length first: int() of a long digit string is itself slow.
         if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
-            raise ValueError(f"fraction {text!r} has an exponent of magnitude above {_MAX_EXPONENT}")
+            raise ValueError(f"fraction {_quoted(text)} has an exponent of magnitude above {_MAX_EXPONENT}")
     try:
-        return Fraction(stripped)
+        with unlimited_int_digits():
+            return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed fraction {text!r}: {exc}") from None
+        # Fraction's own message repeats the text, so a long text gets none.
+        detail = f": {exc}" if len(str(text)) <= _MAX_QUOTE else ""
+        raise ValueError(f"malformed fraction {_quoted(text)}{detail}") from None
+
+
+def _quoted(text) -> str:
+    """repr(text), or for a long text the repr of its start and its length."""
+    shown = str(text)
+    return repr(text) if len(shown) <= _MAX_QUOTE else f"{shown[:_MAX_QUOTE]!r}... ({len(shown)} characters)"
 
 
 def registry_path(explicit: str | None, env: dict | None = None) -> Path | None:
@@ -105,6 +120,16 @@ def _parse_entry(record: object, source: str) -> RegistryEntry:
     )
 
 
+def _read_records(path: Path) -> list:
+    """The records of a registry file.  JSON numbers stay text: converting
+    them to int or float and back would take quadratic time on a long
+    number and run before the length check in :func:`parse_fraction`."""
+    raw = json.loads(Path(path).read_text(), parse_int=str, parse_float=str)
+    if not isinstance(raw, list):
+        raise ValueError("registry file must contain a JSON array")
+    return raw
+
+
 def load_registry(path: Path | None) -> dict[str, RegistryEntry]:
     """Built-ins merged with the user file at ``path`` (user wins).
 
@@ -112,10 +137,7 @@ def load_registry(path: Path | None) -> dict[str, RegistryEntry]:
     """
     entries = {entry.name.lower(): entry for entry in BUILTIN_ENTRIES}
     if path is not None:
-        raw = json.loads(Path(path).read_text())
-        if not isinstance(raw, list):
-            raise ValueError("registry file must contain a JSON array")
-        for record in raw:
+        for record in _read_records(path):
             entry = _parse_entry(record, source="user")
             entries[entry.name.lower()] = entry
     return entries
@@ -139,10 +161,7 @@ def upsert_entry(path: Path, entry: RegistryEntry) -> None:
     records: list[dict] = []
     mode = 0o644
     if path.exists():
-        raw = json.loads(path.read_text())
-        if not isinstance(raw, list):
-            raise ValueError("registry file must contain a JSON array")
-        records = [r for r in raw
+        records = [r for r in _read_records(path)
                    if _parse_entry(r, source="user").name.lower() != entry.name.lower()]
         mode = stat.S_IMODE(path.stat().st_mode)
     record = entry.to_dict()

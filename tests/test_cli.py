@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import horadam
 from horadam import gen_fib, registry
-from horadam.cli import main
+from horadam.cli import _decimal_digits, main
 
 
 def run_cli(capsys, *argv):
@@ -369,6 +371,10 @@ class TestBench:
             float(timing["ms"])  # parseable
             assert isinstance(timing["ms"], str)
 
+    def test_digit_count_matches_decimal_text(self):
+        for n in [0, 9, 10] + [n for k in range(1, 51) for n in (10 ** k - 1, 10 ** k)]:
+            assert _decimal_digits(n) == _decimal_digits(-n) == len(str(n)), n
+
     def test_million_index_digit_count(self, capsys, caller_digit_limit):
         record = run_json(capsys, "bench", "fibonacci", "1000000", "fast-doubling")
         assert record["results"]["digits"] == 208988
@@ -432,16 +438,36 @@ class TestRegistryCommand:
         path.write_text(json.dumps([entry]))
         listing = run_json(capsys, "registry", "list", "--registry", str(path))
         assert dict(entry, source="user") in listing["results"]["entries"]
-        path.write_text(json.dumps([dict(entry, a="9" * 10_001)]))
         # CPython 3.11 parses long decimal text in quadratic time: fail if this text reaches Fraction.
         monkeypatch.setattr(registry, "Fraction", mock.Mock(side_effect=AssertionError("Fraction reached")))
-        assert run_cli(capsys, "registry", "list", "--registry", str(path)) == (
-            2, "", "error: fraction text of 10001 characters is longer than 10000\n")
+        # A bare JSON number reaches the same check as its text: not as an int, nor as a float
+        # whose text would be short ("1.0").
+        for value in ('"' + "9" * 10_001 + '"', "9" * 10_001, "1." + "0" * 9_999):
+            path.write_text('[{"name": "long", "a": %s, "b": "1", "r": "1", "s": "1"}]' % value)
+            assert run_cli(capsys, "registry", "list", "--registry", str(path)) == (
+                2, "", "error: fraction text of 10001 characters is longer than 10000\n")
 
     def test_add_without_target(self, capsys, monkeypatch):
         monkeypatch.delenv("HORADAM_REGISTRY", raising=False)
         code, _, err = run_cli(capsys, "registry", "add", "x", "--r", "1", "--s", "1")
         assert code == 2 and "registry" in err
+
+
+class TestClosedStdout:
+    def test_broken_pipe_is_one_error_line(self):
+        # The reader stops after a few bytes of output far larger than a pipe buffer.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(horadam.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, "-m", "horadam", "seq", "fibonacci", "0..3000"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            proc.stdout.read(16)
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 2
+            assert proc.stderr.read().decode() == "error: [Errno 32] Broken pipe\n"
+        finally:
+            proc.kill()
+            proc.stderr.close()
 
 
 class TestOutputContracts:

@@ -355,6 +355,13 @@ class TestFailurePath:
             f"derived {tabulated[0, 0]} vs reference {tabulated[0, 0] + 1}"
         )
 
+    def test_projector_algebra_scalar_sides(self, monkeypatch):
+        # det A and trace A are compared as scalars but printed bracketed, like the matrix facts.
+        monkeypatch.setattr(Matrix, "trace", lambda self: Fraction(7, 2))
+        report = check_projector_algebra(1, 3, 2)
+        assert report.status == "fail"
+        assert report.first_failure == FirstFailure(1, "[7/2]", "[3]")
+
     def test_suite_reports_the_failure(self, monkeypatch):
         _corrupt_call(monkeypatch, "power_form_from_window", K)
         reports = run_suite([RecurrenceParams(0, 1, 1, 1)], 10)

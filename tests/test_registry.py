@@ -1,6 +1,7 @@
 """Registry loading, merging and persistence."""
 
 import json
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -8,6 +9,18 @@ import pytest
 
 from horadam import BUILTIN_ENTRIES, RegistryEntry, load_registry, parse_fraction, registry
 from horadam.registry import registry_path, resolve, upsert_entry
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int->str digit limit, restored afterwards
+    (tests/test_acceptance.py lifts the limit for the whole session)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int->str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
 
 
 class TestBuiltins:
@@ -48,6 +61,14 @@ class TestParseFraction:
         with pytest.raises(ValueError):
             parse_fraction(text)
 
+    def test_independent_of_the_callers_digit_limit(self, default_digit_limit):
+        assert parse_fraction("7" * 5_000) == 7 * (10 ** 5_000 - 1) // 9
+        assert sys.get_int_max_str_digits() == default_digit_limit
+        with pytest.raises(ValueError) as exc:
+            parse_fraction("7" * 4_999 + "x")
+        assert sys.get_int_max_str_digits() == default_digit_limit
+        assert str(exc.value).startswith("malformed fraction '777") and len(str(exc.value)) < 200
+
 
 class TestUserRegistry:
     def test_merge_and_precedence(self, tmp_path):
@@ -78,6 +99,19 @@ class TestUserRegistry:
         path.write_text(json.dumps([{"name": "x", "a": "1"}]))
         with pytest.raises(ValueError):
             load_registry(path)
+
+    def test_bare_numbers_read_as_text(self, tmp_path, default_digit_limit):
+        path = tmp_path / "registry.json"
+        long_text = '{"name": "long", "a": 0.1000000000000000000001, "b": %s, "r": 1, "s": 1}' % ("7" * 5_000)
+        path.write_text('[{"name": "bare", "a": 5, "b": -3, "r": 0.5, "s": 1}, %s]' % long_text)
+        entries = load_registry(path)
+        bare, long = entries["bare"], entries["long"]
+        assert (bare.a, bare.b, bare.r, bare.s) == (5, -3, Fraction(1, 2), 1)
+        # Neither rounded through a float nor converted to an int under the caller's digit limit.
+        assert (long.a, long.b) == (Fraction(10 ** 21 + 1, 10 ** 22), 7 * (10 ** 5_000 - 1) // 9)
+        # Rewriting the file keeps each record's text but writes it as a string.
+        upsert_entry(path, RegistryEntry("other", Fraction(0), Fraction(1), Fraction(1), Fraction(1)))
+        assert json.loads(path.read_text())[0] == {"name": "bare", "a": "5", "b": "-3", "r": "0.5", "s": "1"}
 
     def test_upsert_creates_and_replaces(self, tmp_path):
         path = tmp_path / "registry.json"
