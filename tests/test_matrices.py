@@ -57,6 +57,10 @@ class TestArithmetic:
                 Matrix(rows)
         assert Matrix([[1, 2], [3, 4]]).size == 2 and Matrix.identity(3).size == 3
 
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError):
+            Matrix([[1, 2], [3]])
+
     def test_non_rational_entries_rejected(self):
         # Entries are exact rationals only; P over Q(sqrt(D)) is not a Matrix.
         for entry in (QuadElem(1, 1, 5), 0.5):
@@ -100,6 +104,10 @@ class TestPower:
         singular = Matrix([[1, 1], [1, 1]])
         assert singular ** 3 == Matrix([[4, 4], [4, 4]])
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            Matrix([[1, 2, 3]]) ** 2
+
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             companion(1, 1) ** -1
@@ -115,6 +123,10 @@ class TestDeterminant:
 
     def test_singular_three_by_three(self):
         assert Matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]]).det() == 0
+
+    def test_one_by_one_rejected(self):
+        with pytest.raises(ValueError):
+            Matrix([[2]]).det()
 
     @pytest.mark.parametrize("r,s", PRESETS)
     def test_power_determinant_is_power_of_minus_s(self, r, s):
