@@ -83,9 +83,10 @@ class DerivedSystem:
     pattern: KernelPattern
     validity: str
 
-    @property
-    def discriminant(self) -> Fraction:
-        return self.r * self.r + 4 * self.s
+    @functools.cached_property
+    def _complement(self) -> Matrix:
+        """I - E, built once per system rather than at every index of a closed-form walk."""
+        return Matrix.identity(3) - self.projector
 
 
 def _check_variant_domain(r: Fraction, pattern: KernelPattern) -> str:
@@ -161,8 +162,7 @@ def closed_power(system: DerivedSystem, n: int) -> Matrix:
 
 def closed_power_from_window(system: DerivedSystem, h: tuple) -> Matrix:
     """h(n)*A + s*h(n-1)*(I - E) for h the window of :func:`h_window` at n."""
-    complement = Matrix.identity(3) - system.projector
-    return h[3] * system.matrix + (system.s * h[2]) * complement
+    return h[3] * system.matrix + (system.s * h[2]) * system._complement
 
 
 def preset_matrix(variant: int, r: RationalLike, s: RationalLike) -> Matrix:

@@ -191,12 +191,6 @@ class QuadElem:
             return NotImplemented
         return self * rhs.inverse()
 
-    def __rtruediv__(self, other: object) -> QuadElem:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs * self.inverse()
-
     def __pow__(self, exponent: int) -> QuadElem:
         if not isinstance(exponent, int):
             return NotImplemented

@@ -9,9 +9,10 @@ recorded as discrepancies rather than failures.
 
 All streaming checks share one loop, ``_sweep``: it walks the windows
 h(n-3)..h(n+2) of :func:`~horadam.sequences.h_windows` from the check's
-first index to n_max, carries running powers (alpha^n and beta^n, (-s)^n,
-Q^n, A^n) from n to n+1 by one product each, and stops at the first index
-where the check's ``differ`` function finds the two sides unequal.  So a
+first index to n_max (``power_det_zero``, which reads no h, walks none),
+carries running powers (alpha^n and beta^n, (-s)^n, Q^n, A^n) from n to
+n+1 by one product each, and stops at the first index where the check's
+``differ`` function finds the two sides unequal.  So a
 check costs time linear in n_max, and each check is just its row: first
 index, bases, starting powers and the comparison.  The assembled side of
 each matrix identity is the same ``*_from_window`` core that the public
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .derivation import (
     VARIANT_PATTERNS,
@@ -42,6 +44,7 @@ from .matrices import (
     companion,
     companion_decomposition_from_window,
     companion_power_from_window,
+    is_singular,
 )
 from .sequences import (
     RecurrenceParams,
@@ -105,6 +108,8 @@ def matrix_mismatches(left: Matrix, right: Matrix) -> list[tuple[int, int, str, 
     """(row, col, left, right) for every entry where the matrices differ."""
     if left.size != right.size:
         raise ValueError(f"size mismatch: {left.size} vs {right.size}")
+    if left == right:
+        return []
     return [
         (i, j, str(left[i, j]), str(right[i, j]))
         for i in range(left.size)
@@ -118,14 +123,15 @@ def _require_range(lo: int, n_max: int) -> None:
         raise DomainError(f"n_max must be >= {lo}, got {n_max}")
 
 
-def _sweep(r: Fraction, s: Fraction, lo: int, n_max: int, bases: list, powers: list, differ):
+def _sweep(r: Fraction, s: Fraction, lo: int, n_max: int, bases: list, powers: list, differ, windows=None):
     """The first (n, differ(h, *powers)) that is not None for n in [lo, n_max], else None.
 
-    h is the window h(n-3)..h(n+2) at n; each power starts at its value for
-    n = lo and is multiplied by its base after each index.
+    h is the window h(n-3)..h(n+2) at n, taken from ``windows`` when a check
+    needs none of it; each power starts at its value for n = lo and is
+    multiplied by its base after each index.
     """
     _require_range(lo, n_max)
-    for n, h in zip(range(lo, n_max + 1), h_windows(r, s, lo)):
+    for n, h in zip(range(lo, n_max + 1), h_windows(r, s, lo) if windows is None else windows):
         mismatch = differ(h, *powers)
         if mismatch is not None:
             return n, mismatch
@@ -133,9 +139,9 @@ def _sweep(r: Fraction, s: Fraction, lo: int, n_max: int, bases: list, powers: l
     return None
 
 
-def _streamed(name, r, s, lo, n_max, bases, powers, differ) -> IdentityReport:
+def _streamed(name, r, s, lo, n_max, bases, powers, differ, windows=None) -> IdentityReport:
     """Report of :func:`_sweep`, whose mismatch is the (lhs, rhs) text pair."""
-    found = _sweep(r, s, lo, n_max, bases, powers, differ)
+    found = _sweep(r, s, lo, n_max, bases, powers, differ, windows)
     failure = None if found is None else FirstFailure(found[0], *found[1])
     return _report(name, r, s, lo, n_max, failure)
 
@@ -178,12 +184,12 @@ def check_power_form(variant: int, r: RationalLike, s: RationalLike, n_max: int)
 
 
 def check_power_det_zero(variant: int, r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
-    """det(A^n) = 0 for the preset matrices, n in [1, n_max]."""
+    """det(A^n) = 0 for the preset matrices, n in [1, n_max].  No h value is read."""
     r = as_fraction(r)
     s = as_fraction(s)
     base = preset_matrix(variant, r, s)
     return _streamed(f"power_det_zero_{variant}", r, s, 1, n_max, [base], [base],
-                     lambda h, power: _unequal(power.det(), 0))
+                     lambda _, power: None if is_singular(power) else (str(power.det()), "0"), repeat(None))
 
 
 def check_closed_power(variant: int, r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:

@@ -3,8 +3,11 @@
 import operator
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horadam import (
     DomainError,
@@ -218,3 +221,101 @@ class TestCompanionDecomposition:
     @pytest.mark.parametrize("r,s", PRESETS)
     def test_sweep(self, r, s):
         assert all(companion_decomposition_check(r, s, n) for n in range(1, 33))
+
+
+# A plain list-of-Fraction oracle that shares no code with Matrix: products by
+# the definition, determinants by the Leibniz sum over permutations, inverses
+# by Gauss-Jordan elimination.
+
+def oracle_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b))]
+            for i in range(len(a))]
+
+
+def oracle_pow(a, k):
+    result = [[Fraction(int(i == j)) for j in range(len(a))] for i in range(len(a))]
+    for _ in range(k):
+        result = oracle_mul(result, a)
+    return result
+
+
+def oracle_det(a):
+    total = Fraction(0)
+    for perm in permutations(range(len(a))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def oracle_inverse(a):
+    n = len(a)
+    work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if work[i][col] != 0)
+        work[col], work[pivot] = work[pivot], work[col]
+        lead = work[col][col]
+        work[col] = [x / lead for x in work[col]]
+        for i in range(n):
+            if i != col and work[i][col] != 0:
+                factor = work[i][col]
+                work[i] = [x - factor * y for x, y in zip(work[i], work[col])]
+    return [row[n:] for row in work]
+
+
+def as_rows(entries):
+    return tuple(tuple(row) for row in entries)
+
+
+rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+
+
+def square(size):
+    return st.lists(st.lists(rationals, min_size=size, max_size=size), min_size=size, max_size=size)
+
+
+@st.composite
+def operands(draw):
+    size = draw(st.sampled_from([2, 3]))
+    return draw(square(size)), draw(square(size))
+
+
+class TestAgainstFractionOracle:
+    """The integer-over-one-denominator kernel against list-of-Fraction arithmetic."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=operands(), scalar=st.one_of(st.integers(-20, 20), rationals), k=st.integers(0, 6))
+    def test_operations_match(self, pair, scalar, k):
+        a, b = pair
+        n = len(a)
+        ma, mb = Matrix(a), Matrix(b)
+        expected = [
+            (ma + mb, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]),
+            (ma - mb, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]),
+            (ma * mb, oracle_mul(a, b)),
+            (ma * scalar, [[x * scalar for x in row] for row in a]),
+            (scalar * ma, [[scalar * x for x in row] for row in a]),
+            (ma ** k, oracle_pow(a, k)),
+        ]
+        for result, oracle in expected:
+            assert result.rows == as_rows(oracle)
+            # Equality compares the stored form, so it must be canonical.
+            assert result == Matrix(oracle)
+        assert ma.rows == as_rows(a)
+        assert all(ma[i, j] == a[i][j] for i in range(n) for j in range(n))
+        assert ma.det() == oracle_det(a)
+        assert ma.trace() == sum(a[i][i] for i in range(n))
+        if n == 3 and oracle_det(a) != 0:
+            inverse = ma.inverse()
+            assert inverse.rows == as_rows(oracle_inverse(a))
+            assert inverse == Matrix(oracle_inverse(a))
+
+    def test_equal_values_compare_equal(self):
+        assert Matrix([[Fraction(2, 4), 1], [0, 1]]) == Matrix([[Fraction(1, 2), 1], [0, 1]])
+        halves = Matrix([[Fraction(1, 2), Fraction(3, 2), 0], [0, Fraction(1, 3), 0], [0, 0, Fraction(5, 6)]])
+        clearing = Matrix([[6, 0, 0], [0, 6, 0], [0, 0, 6]])
+        assert halves * clearing == Matrix([[3, 9, 0], [0, 2, 0], [0, 0, 5]])
+        assert Fraction(1, 2) * Matrix([[2, 4], [6, 8]]) == Matrix([[1, 2], [3, 4]])
+        assert Matrix([[1, 2], [3, 4]]) * Fraction(0) == Matrix([[0, 0], [0, 0]])

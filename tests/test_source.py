@@ -26,6 +26,22 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_unpacked_generator_arguments():
+    # f(*(x for x in y)) builds its argument tuple too large and shrinks it in
+    # place; freed, such tuples fill the tuple free list with oversized blocks
+    # (2,000 per size), which raised peak memory when done in the matrix
+    # kernel.  Unpack a list instead: f(*[x for x in y]).
+    found = [
+        f"{path.name}:{arg.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        for arg in node.args
+        if isinstance(arg, ast.Starred) and isinstance(arg.value, ast.GeneratorExp)
+    ]
+    assert found == []
+
+
 def test_traced_names_resolve():
     # The benchmark's tracer wraps these names from outside the package; a
     # renamed or deleted one would only fail a traced benchmark run.
