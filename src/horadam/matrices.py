@@ -107,6 +107,7 @@ class Matrix:
             if self.size != other.size:
                 raise ValueError(f"size mismatch: {self.size} vs {other.size}")
             cols = tuple(zip(*other._num))
+            # List comprehensions: this product is the inner step of every power walk.
             return Matrix._reduced(tuple([tuple([sum(map(operator.mul, row, col)) for col in cols])
                                           for row in self._num]), self._den * other._den)
         if isinstance(other, (int, Fraction)):
