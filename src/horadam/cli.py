@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import re
 import sys
@@ -48,7 +47,6 @@ from .sequences import (
     fast_gen_fib,
     gen_fib,
     horadam_range,
-    roots,
 )
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -82,12 +80,10 @@ def _csv_cell(value) -> str:
 
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["key", "value"])
         for key, value in _flatten(record):
             writer.writerow([key, _csv_cell(value)])
-        sys.stdout.write(buffer.getvalue())
     else:
         print(json.dumps(record, indent=2))
 
@@ -145,7 +141,7 @@ def _cmd_derive(args) -> tuple[dict, dict, int]:
     pattern = KernelPattern.from_string(args.pattern)
     t = parse_fraction(args.t)
     system = derive(r, s, pattern, t)
-    alpha, beta = roots(r, s)
+    alpha, beta = system.eigenvectors[0][:2]
     results = {
         "matrix": _matrix_strings(system.matrix.rows),
         "projector": _matrix_strings(system.projector.rows),

@@ -17,11 +17,13 @@ form
 so powers of A are read off the sequence h without any matrix products.
 
 Three sign patterns are special: each has a known rational formula for A
-with a scalar prefactor, and a companion formula expressing A^n entrywise
-in a window of five consecutive h values.  They are exposed here as
-``variants`` 1..3, and their instantiations at the classic parameter pairs
-(Fibonacci, Pell, Jacobsthal) are shipped with the tabulated matrices they
-are usually quoted as, for cross-checking.
+with the prefactor 1/(r - pole), and a companion formula expressing A^n
+entrywise in a window of five consecutive h values.  They are exposed here
+as ``variants`` 1..3, one (pattern, pole) row each; a variant's domain
+r not in {0, pole} and its validity text follow from its row.  Variant 1's
+instantiations at the registry's built-in Fibonacci, Pell and Jacobsthal
+pairs are shipped with the tabulated matrices they are usually quoted as,
+for cross-checking.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from fractions import Fraction
 from .errors import DegenerateEigenbasisError, DomainError, HoradamError, SingularMatrixError
 from .exact import QuadElem, RationalLike, as_fraction
 from .matrices import Matrix
+from .registry import BUILTIN_ENTRIES
 from .sequences import fast_gen_fib  # noqa: F401  (perfbench reaches derivation.fast_gen_fib)
 from .sequences import h_window, roots
 
@@ -59,14 +62,25 @@ class KernelPattern:
         return "".join("+" if v > 0 else "-" for v in self.signs)
 
 
-#: The sign patterns with known closed-form presets, keyed by variant number.
-VARIANT_PATTERNS: dict[int, KernelPattern] = {
-    1: KernelPattern.from_string("+-+"),
-    2: KernelPattern.from_string("++-"),
-    3: KernelPattern.from_string("-++"),
+#: Each special pattern as one (pattern, pole) row, keyed by variant number.
+#: Its preset matrix carries the prefactor 1/(r - pole) and needs r not in {0, pole}.
+_VARIANTS: dict[int, tuple[KernelPattern, int]] = {
+    1: (KernelPattern.from_string("+-+"), 0),
+    2: (KernelPattern.from_string("++-"), 2),
+    3: (KernelPattern.from_string("-++"), 0),
 }
 
-_PATTERN_VARIANTS = {pattern: k for k, pattern in VARIANT_PATTERNS.items()}
+#: The sign patterns with known closed-form presets, keyed by variant number.
+VARIANT_PATTERNS: dict[int, KernelPattern] = {k: pattern for k, (pattern, _) in _VARIANTS.items()}
+
+_PATTERN_POLES = dict(_VARIANTS.values())
+
+
+def variant_pattern(variant: int) -> KernelPattern:
+    """The sign pattern of a variant number; ValueError for any other value."""
+    if variant not in _VARIANTS:
+        raise ValueError(f"variant must be one of {sorted(_VARIANTS)}, got {variant}")
+    return _VARIANTS[variant][0]
 
 
 @dataclass(frozen=True)
@@ -90,16 +104,14 @@ class DerivedSystem:
 
 
 def _check_variant_domain(r: Fraction, pattern: KernelPattern) -> str:
-    variant = _PATTERN_VARIANTS.get(pattern)
-    if variant in (1, 3):
-        if r == 0:
-            raise DomainError(f"pattern {pattern} requires r != 0")
-        return "r != 0"
-    if variant == 2:
-        if r == 0 or r == 2:
-            raise DomainError(f"pattern {pattern} requires r not in {{0, 2}}")
-        return "r not in {0, 2}"
-    return "det(P) != 0 for the supplied pattern"
+    """The validity text of ``pattern``; DomainError if r is outside a special pattern's domain."""
+    pole = _PATTERN_POLES.get(pattern)
+    if pole is None:
+        return "det(P) != 0 for the supplied pattern"
+    validity = "r != 0" if pole == 0 else f"r not in {{0, {pole}}}"
+    if r in (0, pole):
+        raise DomainError(f"pattern {pattern} requires {validity}")
+    return validity
 
 
 def derive(
@@ -169,29 +181,26 @@ def preset_matrix(variant: int, r: RationalLike, s: RationalLike) -> Matrix:
     """The known rational matrix for one of the three special patterns."""
     r = as_fraction(r)
     s = as_fraction(s)
-    _check_variant_domain(r, VARIANT_PATTERNS[_require_variant(variant)])
+    _check_variant_domain(r, variant_pattern(variant))
     if variant == 1:
-        scale = 1 / r
         rows = [
             [r * (r - 1) + s, s - r, -r * r],
             [-s, -s, Fraction(0)],
             [1 - r, Fraction(1), r],
         ]
     elif variant == 2:
-        scale = 1 / (r - 2)
         rows = [
             [r * (r - 1) + s, r + s, r * r + 2 * s],
             [-s, -s, -2 * s],
             [1 - r, Fraction(-1), -r],
         ]
     else:
-        scale = 1 / r
         rows = [
             [r * (r + 1) + s, r + s, r * r],
             [-s, -s, Fraction(0)],
             [-(r + 1), Fraction(-1), -r],
         ]
-    return scale * Matrix(rows)
+    return 1 / (r - _VARIANTS[variant][1]) * Matrix(rows)
 
 
 def power_form(variant: int, r: RationalLike, s: RationalLike, n: int) -> Matrix:
@@ -199,14 +208,14 @@ def power_form(variant: int, r: RationalLike, s: RationalLike, n: int) -> Matrix
 
     Requires s != 0 since n = 1 reaches back to h(-1) = 1/s.
     """
-    variant = _require_variant(variant)
+    pattern = variant_pattern(variant)
     r = as_fraction(r)
     s = as_fraction(s)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if s == 0:
         raise DomainError("the entrywise power form requires s != 0")
-    _check_variant_domain(r, VARIANT_PATTERNS[variant])
+    _check_variant_domain(r, pattern)
     return power_form_from_window(variant, r, s, h_window(r, s, n))
 
 
@@ -214,33 +223,24 @@ def power_form_from_window(variant: int, r: Fraction, s: Fraction, h: tuple) -> 
     """The entrywise power form for h the window of :func:`h_window` at n."""
     _, h_nm2, h_nm1, h_n, h_np1, h_np2 = h
     if variant == 1:
-        scale = 1 / r
         rows = [
             [h_np2 - h_np1, -(h_np1 - s * h_n), -r * h_np1],
             [-s * (h_n - h_nm1), s * (h_nm1 - s * h_nm2), r * s * h_nm1],
             [-(h_np1 - h_n), h_n - s * h_nm1, r * h_n],
         ]
     elif variant == 2:
-        scale = 1 / (r - 2)
         rows = [
             [h_np2 - h_np1, h_np1 + s * h_n, h_np2 + s * h_n],
             [-s * (h_n - h_nm1), -s * (h_nm1 + s * h_nm2), -s * (h_n + s * h_nm2)],
             [-(h_np1 - h_n), -(h_n + s * h_nm1), -(h_np1 + s * h_nm1)],
         ]
     else:
-        scale = 1 / r
         rows = [
             [h_np2 + h_np1, h_np1 + s * h_n, r * h_np1],
             [-s * (h_n + h_nm1), -s * (h_nm1 + s * h_nm2), -r * s * h_nm1],
             [-(h_np1 + h_n), -(h_n + s * h_nm1), -r * h_n],
         ]
-    return scale * Matrix(rows)
-
-
-def _require_variant(variant: int) -> int:
-    if variant not in VARIANT_PATTERNS:
-        raise ValueError(f"variant must be one of {sorted(VARIANT_PATTERNS)}, got {variant}")
-    return variant
+    return 1 / (r - _VARIANTS[variant][1]) * Matrix(rows)
 
 
 @dataclass(frozen=True)
@@ -253,12 +253,6 @@ class ClassicSystem:
     reference: Matrix
 
 
-_CLASSIC_PARAMS: tuple[tuple[str, int, int], ...] = (
-    ("fibonacci", 1, 1),
-    ("pell", 2, 1),
-    ("jacobsthal", 1, 2),
-)
-
 _REFERENCE_MATRICES: dict[str, Matrix] = {
     "fibonacci": Matrix([[1, 0, -1], [-1, -1, 0], [0, 1, 1]]),
     "pell": Fraction(1, 2) * Matrix([[3, -1, -4], [-1, -1, 0], [0, 1, 2]]),
@@ -266,12 +260,17 @@ _REFERENCE_MATRICES: dict[str, Matrix] = {
 }
 
 
+#: Built-in (r, s) to name, for the built-ins with a tabulated reference.
+_CLASSIC_NAMES = {(entry.r, entry.s): entry.name
+                  for entry in BUILTIN_ENTRIES if entry.name in _REFERENCE_MATRICES}
+
+
 @functools.cache
 def _classic_table() -> dict[str, ClassicSystem]:
     pattern = VARIANT_PATTERNS[1]
     return {
         name: ClassicSystem(name, derive(r, s, pattern), _REFERENCE_MATRICES[name])
-        for name, r, s in _CLASSIC_PARAMS
+        for (r, s), name in _CLASSIC_NAMES.items()
     }
 
 
@@ -296,12 +295,8 @@ def classic_systems() -> list[ClassicSystem]:
 
 def classic_for(r: Fraction, s: Fraction, pattern: KernelPattern) -> ClassicSystem | None:
     """The classic entry matching (r, s, pattern), if any."""
-    if pattern != VARIANT_PATTERNS[1]:
-        return None
-    for name, cr, cs in _CLASSIC_PARAMS:
-        if r == cr and s == cs:
-            return classic_system(name)
-    return None
+    name = _CLASSIC_NAMES.get((r, s)) if pattern == VARIANT_PATTERNS[1] else None
+    return None if name is None else classic_system(name)
 
 
 def reference_power(name: str, n: int) -> Matrix:

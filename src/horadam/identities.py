@@ -31,11 +31,13 @@ from itertools import repeat
 from .derivation import (
     VARIANT_PATTERNS,
     classic_system,
+    classic_systems,
     closed_power_from_window,
     derive,
     power_form_from_window,
     preset_matrix,
     reference_power_from_window,
+    variant_pattern,
 )
 from .errors import DomainError
 from .exact import RationalLike, as_fraction
@@ -46,6 +48,7 @@ from .matrices import (
     companion_power_from_window,
     is_singular,
 )
+from .registry import BUILTIN_ENTRIES
 from .sequences import (
     RecurrenceParams,
     binet_from_powers,
@@ -58,6 +61,9 @@ PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
 DISCREPANCY = "discrepancy"
+
+#: First index of the Binet check for s != 0: the identity also holds at negative n.
+_BINET_N_MIN = -10
 
 
 @dataclass(frozen=True)
@@ -95,9 +101,9 @@ class IdentityReport:
         return record
 
 
-def _report(identity, r, s, lo, hi, failure=None, note=None) -> IdentityReport:
+def _report(identity, r, s, lo, hi, failure=None) -> IdentityReport:
     status = FAIL if failure is not None else PASS
-    return IdentityReport(identity, r, s, lo, hi, status, failure, note)
+    return IdentityReport(identity, r, s, lo, hi, status, failure)
 
 
 def _matrix_text(m: Matrix) -> str:
@@ -197,7 +203,7 @@ def check_closed_power(variant: int, r: RationalLike, s: RationalLike, n_max: in
     A^n for the derived system, n in [1, n_max]."""
     r = as_fraction(r)
     s = as_fraction(s)
-    system = derive(r, s, VARIANT_PATTERNS[variant])
+    system = derive(r, s, variant_pattern(variant))
     a = system.matrix
     return _streamed(f"closed_power_{variant}", r, s, 1, n_max, [a], [a],
                      lambda h, power: _unequal(power, closed_power_from_window(system, h), _matrix_text))
@@ -208,7 +214,7 @@ def check_projector_algebra(variant: int, r: RationalLike, s: RationalLike) -> I
     r = as_fraction(r)
     s = as_fraction(s)
     name = f"projector_algebra_{variant}"
-    system = derive(r, s, VARIANT_PATTERNS[variant])
+    system = derive(r, s, variant_pattern(variant))
     a, e = system.matrix, system.projector
     zero = Matrix.identity(3) - Matrix.identity(3)
     facts = [
@@ -250,12 +256,12 @@ def check_companion_decomposition(r: RationalLike, s: RationalLike, n_max: int) 
                      else ("Q^n", "h(n)*Q + s*h(n-1)*I"))
 
 
-def check_binet(r: RationalLike, s: RationalLike, n_max: int, n_min: int = -10) -> IdentityReport:
-    """(alpha^n - beta^n)/(alpha - beta) = h(n) for n in [n_min, n_max]."""
+def check_binet(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
+    """(alpha^n - beta^n)/(alpha - beta) = h(n) for n in [-10, n_max], or in
+    [0, n_max] when s = 0, since h(n) for n < 0 needs s != 0."""
     r = as_fraction(r)
     s = as_fraction(s)
-    if s == 0:
-        n_min = max(n_min, 0)
+    n_min = 0 if s == 0 else _BINET_N_MIN
     _require_range(n_min, n_max)  # before alpha^n_min, which an empty range must not pay for
     alpha, beta = roots(r, s)
     gap = alpha - beta
@@ -306,9 +312,9 @@ def check_reference_power(name: str, n_max: int) -> IdentityReport:
 
 
 def default_grid() -> list[RecurrenceParams]:
-    """The four named sequences plus two integer pairs with D > 0, s != 0
-    and r outside {0, 2}, so that every check applies."""
-    pairs = ((1, 1), (2, 1), (1, 2), (6, -1), (-3, -2), (6, 3))
+    """The registry's built-in sequences plus two integer pairs with D > 0,
+    s != 0 and r outside {0, 2}, so that every check applies."""
+    pairs = [(entry.r, entry.s) for entry in BUILTIN_ENTRIES] + [(-3, -2), (6, 3)]
     return [RecurrenceParams(0, 1, r, s) for r, s in pairs]
 
 
@@ -319,7 +325,7 @@ _PAIR_CHECKS: tuple[tuple[str, str, int], ...] = (
     ("cubic", "cubic", 2),
     ("companion_power", "companion_power", 1),
     ("companion_decomposition", "companion_decomposition", 1),
-    ("binet_recurrence", "binet", -10),
+    ("binet_recurrence", "binet", _BINET_N_MIN),
     ("linear_approximation", "linear_approximation", 1),
 )
 #: Checks run per grid pair and variant v as check_<check>(v, r, s, n_max),
@@ -355,9 +361,9 @@ def run_suite(grid: list[RecurrenceParams], n_max: int) -> list[IdentityReport]:
             except DomainError as exc:
                 reports.append(IdentityReport(identity, r, s, lo, hi, SKIPPED, None, str(exc)))
 
-    for name in ("fibonacci", "jacobsthal", "pell"):
-        reports.append(check_reference_matrix(name))
-        reports.append(check_reference_power(name, n_max))
+    for classic in classic_systems():
+        reports.append(check_reference_matrix(classic.name))
+        reports.append(check_reference_power(classic.name, n_max))
 
     reports.sort(key=lambda rep: (rep.identity, rep.r, rep.s))
     return reports

@@ -166,6 +166,10 @@ class TestSeq:
         code, _, _ = run_cli(capsys, "seq", "fibonacci")
         assert code == 2
 
+    def test_params_need_both_r_and_s(self, capsys):
+        assert run_cli(capsys, "seq", "0..3", "--r", "1") == (
+            2, "", "error: either a sequence name or both --r and --s are required\n")
+
     def test_huge_exponent_rejected(self, capsys, monkeypatch):
         # --r is parsed first, so the patched Fraction fails the test if the text reaches it.
         monkeypatch.setattr(registry, "Fraction", mock.Mock(side_effect=AssertionError("Fraction reached")))
@@ -357,6 +361,13 @@ class TestBench:
     def test_zero_index_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "fibonacci", "0")
         assert code == 2
+
+    def test_missing_index(self, capsys):
+        assert run_cli(capsys, "bench") == (
+            2, "", "error: bench requires an index: bench [NAME] N [STRATEGIES]\n")
+
+    def test_empty_strategy_list(self, capsys):
+        assert run_cli(capsys, "bench", "fibonacci", "10", ",") == (2, "", "error: strategy list is empty\n")
 
     @pytest.mark.parametrize("flag", ["--a", "--b"])
     def test_no_seed_flags(self, capsys, flag):

@@ -21,6 +21,8 @@ from horadam import (
     reference_power,
     roots,
 )
+from horadam.derivation import reference_power_from_window
+from horadam.sequences import h_window
 
 P1 = KernelPattern.from_string("+-+")
 P2 = KernelPattern.from_string("++-")
@@ -148,6 +150,21 @@ class TestDerive:
             derive(0, 1, P2)
         with pytest.raises(DomainError):
             derive(2, 1, P2)
+
+    @pytest.mark.parametrize("pattern,r,message,validity", [
+        (P1, 0, "pattern +-+ requires r != 0", "r != 0"),
+        (P2, 2, "pattern ++- requires r not in {0, 2}", "r not in {0, 2}"),
+        (P2, 0, "pattern ++- requires r not in {0, 2}", "r not in {0, 2}"),
+        (P3, 0, "pattern -++ requires r != 0", "r != 0"),
+        (KernelPattern.from_string("+++"), 0, None, "det(P) != 0 for the supplied pattern"),
+    ])
+    def test_domain_and_validity_text(self, pattern, r, message, validity):
+        # Each variant's domain error and validity text follow from its pole.
+        assert derive(3, 2, pattern).validity == validity
+        if message is not None:
+            with pytest.raises(DomainError) as exc:
+                derive(r, 1, pattern)
+            assert str(exc.value) == message
 
     def test_disc_hypothesis_enforced(self):
         with pytest.raises(DomainError):
@@ -335,6 +352,14 @@ class TestReferencePower:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             reference_power("lucas", 3)
+
+    def test_unknown_name_rejected_by_the_window_core(self):
+        with pytest.raises(ValueError, match="unknown classic system 'lucas'"):
+            reference_power_from_window("lucas", h_window(1, 1, 3))
+
+    def test_requires_positive_n(self):
+        with pytest.raises(DomainError, match="n must be >= 1, got 0"):
+            reference_power("fibonacci", 0)
 
 
 class TestVariantPatterns:

@@ -115,6 +115,11 @@ class TestQuadElem:
         assert alpha ** -3 == alpha.inverse() ** 3
         assert alpha ** -3 * alpha ** 3 == 1
 
+    def test_to_fraction(self):
+        assert QuadElem(Fraction(1, 2), 0, 5).to_fraction() == Fraction(1, 2)
+        with pytest.raises(ValueError, match=r"^1 \+ sqrt\(5\) is not rational$"):
+            QuadElem(1, 1, 5).to_fraction()
+
     def test_str_forms(self):
         assert str(QuadElem(Fraction(1, 2), Fraction(1, 2), 5)) == "1/2 + 1/2*sqrt(5)"
         assert str(QuadElem(Fraction(1, 2), Fraction(-1, 2), 5)) == "1/2 - 1/2*sqrt(5)"

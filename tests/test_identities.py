@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horadam import (
+    BUILTIN_ENTRIES,
     VARIANT_PATTERNS,
     DomainError,
     Matrix,
@@ -204,6 +205,9 @@ class TestDefaultGrid:
     def test_reproducible(self):
         assert default_grid() == default_grid()
 
+    def test_named_pairs_are_the_registry_builtins(self):
+        assert [(p.r, p.s) for p in default_grid()[:4]] == [(e.r, e.s) for e in BUILTIN_ENTRIES]
+
 
 class TestRunSuite:
     def test_empty_grid(self):
@@ -265,12 +269,10 @@ class TestEmptyRanges:
         lambda: check_companion_decomposition(1, 1, 0),
         lambda: check_linear_approximation(1, 1, -2),
         lambda: check_binet(1, 1, -20),
-        lambda: check_binet(1, 1, 5, n_min=6),
         lambda: check_binet(3, 0, -1),  # s = 0 clamps the range to [0, -1]
         lambda: check_reference_power("fibonacci", 0),
     ], ids=["power_form", "power_det_zero", "closed_power", "companion_power",
-            "companion_decomposition", "linear_approximation", "binet", "binet_n_min",
-            "binet_zero_s", "reference_power"])
+            "companion_decomposition", "linear_approximation", "binet", "binet_zero_s", "reference_power"])
     def test_check_raises(self, call):
         with pytest.raises(DomainError, match="n_max must be >="):
             call()
@@ -355,6 +357,16 @@ class TestFailurePath:
             f"derived {tabulated[0, 0]} vs reference {tabulated[0, 0] + 1}"
         )
 
+    def test_linear_approximation(self, monkeypatch):
+        window = h_window(6, -1, K)
+        holds = identities.linear_approx_holds
+        monkeypatch.setattr(identities, "linear_approx_holds",
+                            lambda root, root_n, s, h: h != window and holds(root, root_n, s, h))
+        report = check_linear_approximation(6, -1, 12)
+        assert report.status == "fail"
+        assert report.first_failure == FirstFailure(
+            K, "alpha^n, beta^n", "alpha*h(n)+s*h(n-1), beta*h(n)+s*h(n-1)")
+
     def test_projector_algebra_scalar_sides(self, monkeypatch):
         # det A and trace A are compared as scalars but printed bracketed, like the matrix facts.
         monkeypatch.setattr(Matrix, "trace", lambda self: Fraction(7, 2))
@@ -367,6 +379,24 @@ class TestFailurePath:
         reports = run_suite([RecurrenceParams(0, 1, 1, 1)], 10)
         failed = [r for r in reports if r.status == "fail"]
         assert [(r.identity, r.first_failure.index) for r in failed] == [("power_form_1", K)]
+
+
+class TestVariantNumber:
+    """Every entry point that takes a variant number rejects any other value the same way."""
+
+    @pytest.mark.parametrize("call", [
+        lambda v: preset_matrix(v, 3, 2),
+        lambda v: power_form(v, 3, 2, 4),
+        lambda v: check_power_form(v, 3, 2, 4),
+        lambda v: check_power_det_zero(v, 3, 2, 4),
+        lambda v: check_closed_power(v, 3, 2, 4),
+        lambda v: check_projector_algebra(v, 3, 2),
+    ], ids=["preset_matrix", "power_form", "check_power_form", "check_power_det_zero",
+            "check_closed_power", "check_projector_algebra"])
+    @pytest.mark.parametrize("variant", [0, 4])
+    def test_unknown_variant_rejected(self, call, variant):
+        with pytest.raises(ValueError, match=rf"^variant must be one of \[1, 2, 3\], got {variant}$"):
+            call(variant)
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)

@@ -211,6 +211,10 @@ class TestCompanionDecomposition:
     def test_fibonacci_six(self):
         assert companion_decomposition_check(1, 1, 6)
 
+    def test_requires_positive_n(self):
+        with pytest.raises(DomainError, match="n must be >= 1, got 0"):
+            companion_decomposition_check(1, 1, 0)
+
     def test_base_case(self):
         for r, s in PRESETS:
             assert companion_decomposition_check(r, s, 1)

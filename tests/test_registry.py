@@ -100,6 +100,12 @@ class TestUserRegistry:
         with pytest.raises(ValueError):
             load_registry(path)
 
+    def test_empty_name_rejected(self, tmp_path):
+        path = tmp_path / "registry.json"
+        path.write_text(json.dumps([{"name": "  ", "a": "0", "b": "1", "r": "1", "s": "1"}]))
+        with pytest.raises(ValueError, match="registry entry has an empty name"):
+            load_registry(path)
+
     def test_bare_numbers_read_as_text(self, tmp_path, default_digit_limit):
         path = tmp_path / "registry.json"
         long_text = '{"name": "long", "a": 0.1000000000000000000001, "b": %s, "r": 1, "s": 1}' % ("7" * 5_000)
