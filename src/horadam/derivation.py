@@ -19,11 +19,11 @@ so powers of A are read off the sequence h without any matrix products.
 Three sign patterns are special: each has a known rational formula for A
 with the prefactor 1/(r - pole), and a companion formula expressing A^n
 entrywise in a window of five consecutive h values.  They are exposed here
-as ``variants`` 1..3, one (pattern, pole) row each; a variant's domain
-r not in {0, pole} and its validity text follow from its row.  Variant 1's
-instantiations at the registry's built-in Fibonacci, Pell and Jacobsthal
-pairs are shipped with the tabulated matrices they are usually quoted as,
-for cross-checking.
+as ``variants`` 1..3, one row each: pattern, pole and both formulas; a
+variant's domain r not in {0, pole} and its validity text follow from its
+row.  Variant 1's instantiations at the registry's built-in Fibonacci, Pell
+and Jacobsthal pairs are shipped, one row each, with the tabulated matrix
+and power form they are usually quoted as, for cross-checking.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import DegenerateEigenbasisError, DomainError, HoradamError, SingularMatrixError
 from .exact import QuadElem, RationalLike, as_fraction
@@ -62,24 +63,60 @@ class KernelPattern:
         return "".join("+" if v > 0 else "-" for v in self.signs)
 
 
-#: Each special pattern as one (pattern, pole) row, keyed by variant number.
-#: Its preset matrix carries the prefactor 1/(r - pole) and needs r not in {0, pole}.
-_VARIANTS: dict[int, tuple[KernelPattern, int]] = {
-    1: (KernelPattern.from_string("+-+"), 0),
-    2: (KernelPattern.from_string("++-"), 2),
-    3: (KernelPattern.from_string("-++"), 0),
-}
+class _VariantRows(dict):
+    """The variant table, whose lookup is the validation: any other number is a ValueError."""
+
+    def __missing__(self, variant):
+        raise ValueError(f"variant must be one of {sorted(self)}, got {variant}")
+
+
+#: Each special pattern as one (pattern, pole, preset, power form) row, keyed by variant number:
+#: the rows of A from (r, s), and of A^n from (r, s) and the window h(n-3)..h(n+2).  Both
+#: carry the prefactor 1/(r - pole), and the preset needs r not in {0, pole}.
+_VARIANTS: dict[int, tuple[KernelPattern, int, Callable, Callable]] = _VariantRows({
+    1: (KernelPattern.from_string("+-+"), 0,
+        lambda r, s: [
+            [r * (r - 1) + s, s - r, -r * r],
+            [-s, -s, Fraction(0)],
+            [1 - r, Fraction(1), r],
+        ],
+        lambda r, s, h_nm3, h_nm2, h_nm1, h_n, h_np1, h_np2: [
+            [h_np2 - h_np1, -(h_np1 - s * h_n), -r * h_np1],
+            [-s * (h_n - h_nm1), s * (h_nm1 - s * h_nm2), r * s * h_nm1],
+            [-(h_np1 - h_n), h_n - s * h_nm1, r * h_n],
+        ]),
+    2: (KernelPattern.from_string("++-"), 2,
+        lambda r, s: [
+            [r * (r - 1) + s, r + s, r * r + 2 * s],
+            [-s, -s, -2 * s],
+            [1 - r, Fraction(-1), -r],
+        ],
+        lambda r, s, h_nm3, h_nm2, h_nm1, h_n, h_np1, h_np2: [
+            [h_np2 - h_np1, h_np1 + s * h_n, h_np2 + s * h_n],
+            [-s * (h_n - h_nm1), -s * (h_nm1 + s * h_nm2), -s * (h_n + s * h_nm2)],
+            [-(h_np1 - h_n), -(h_n + s * h_nm1), -(h_np1 + s * h_nm1)],
+        ]),
+    3: (KernelPattern.from_string("-++"), 0,
+        lambda r, s: [
+            [r * (r + 1) + s, r + s, r * r],
+            [-s, -s, Fraction(0)],
+            [-(r + 1), Fraction(-1), -r],
+        ],
+        lambda r, s, h_nm3, h_nm2, h_nm1, h_n, h_np1, h_np2: [
+            [h_np2 + h_np1, h_np1 + s * h_n, r * h_np1],
+            [-s * (h_n + h_nm1), -s * (h_nm1 + s * h_nm2), -r * s * h_nm1],
+            [-(h_np1 + h_n), -(h_n + s * h_nm1), -r * h_n],
+        ]),
+})
 
 #: The sign patterns with known closed-form presets, keyed by variant number.
-VARIANT_PATTERNS: dict[int, KernelPattern] = {k: pattern for k, (pattern, _) in _VARIANTS.items()}
+VARIANT_PATTERNS: dict[int, KernelPattern] = {k: pattern for k, (pattern, *_) in _VARIANTS.items()}
 
-_PATTERN_POLES = dict(_VARIANTS.values())
+_PATTERN_POLES = {pattern: pole for pattern, pole, _, _ in _VARIANTS.values()}
 
 
 def variant_pattern(variant: int) -> KernelPattern:
     """The sign pattern of a variant number; ValueError for any other value."""
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {sorted(_VARIANTS)}, got {variant}")
     return _VARIANTS[variant][0]
 
 
@@ -167,8 +204,6 @@ def derive(
 
 def closed_power(system: DerivedSystem, n: int) -> Matrix:
     """A^n evaluated as h(n)*A + s*h(n-1)*(I - E), no matrix products."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
     return closed_power_from_window(system, h_window(system.r, system.s, n))
 
 
@@ -181,26 +216,9 @@ def preset_matrix(variant: int, r: RationalLike, s: RationalLike) -> Matrix:
     """The known rational matrix for one of the three special patterns."""
     r = as_fraction(r)
     s = as_fraction(s)
-    _check_variant_domain(r, variant_pattern(variant))
-    if variant == 1:
-        rows = [
-            [r * (r - 1) + s, s - r, -r * r],
-            [-s, -s, Fraction(0)],
-            [1 - r, Fraction(1), r],
-        ]
-    elif variant == 2:
-        rows = [
-            [r * (r - 1) + s, r + s, r * r + 2 * s],
-            [-s, -s, -2 * s],
-            [1 - r, Fraction(-1), -r],
-        ]
-    else:
-        rows = [
-            [r * (r + 1) + s, r + s, r * r],
-            [-s, -s, Fraction(0)],
-            [-(r + 1), Fraction(-1), -r],
-        ]
-    return 1 / (r - _VARIANTS[variant][1]) * Matrix(rows)
+    pattern, pole, preset, _ = _VARIANTS[variant]
+    _check_variant_domain(r, pattern)
+    return 1 / (r - pole) * Matrix(preset(r, s))
 
 
 def power_form(variant: int, r: RationalLike, s: RationalLike, n: int) -> Matrix:
@@ -211,36 +229,17 @@ def power_form(variant: int, r: RationalLike, s: RationalLike, n: int) -> Matrix
     pattern = variant_pattern(variant)
     r = as_fraction(r)
     s = as_fraction(s)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    h = h_window(r, s, n)
     if s == 0:
         raise DomainError("the entrywise power form requires s != 0")
     _check_variant_domain(r, pattern)
-    return power_form_from_window(variant, r, s, h_window(r, s, n))
+    return power_form_from_window(variant, r, s, h)
 
 
 def power_form_from_window(variant: int, r: Fraction, s: Fraction, h: tuple) -> Matrix:
     """The entrywise power form for h the window of :func:`h_window` at n."""
-    _, h_nm2, h_nm1, h_n, h_np1, h_np2 = h
-    if variant == 1:
-        rows = [
-            [h_np2 - h_np1, -(h_np1 - s * h_n), -r * h_np1],
-            [-s * (h_n - h_nm1), s * (h_nm1 - s * h_nm2), r * s * h_nm1],
-            [-(h_np1 - h_n), h_n - s * h_nm1, r * h_n],
-        ]
-    elif variant == 2:
-        rows = [
-            [h_np2 - h_np1, h_np1 + s * h_n, h_np2 + s * h_n],
-            [-s * (h_n - h_nm1), -s * (h_nm1 + s * h_nm2), -s * (h_n + s * h_nm2)],
-            [-(h_np1 - h_n), -(h_n + s * h_nm1), -(h_np1 + s * h_nm1)],
-        ]
-    else:
-        rows = [
-            [h_np2 + h_np1, h_np1 + s * h_n, r * h_np1],
-            [-s * (h_n + h_nm1), -s * (h_nm1 + s * h_nm2), -r * s * h_nm1],
-            [-(h_np1 + h_n), -(h_n + s * h_nm1), -r * h_n],
-        ]
-    return 1 / (r - _VARIANTS[variant][1]) * Matrix(rows)
+    _, pole, _, form = _VARIANTS[variant]
+    return 1 / (r - pole) * Matrix(form(r, s, *h))
 
 
 @dataclass(frozen=True)
@@ -253,23 +252,41 @@ class ClassicSystem:
     reference: Matrix
 
 
-_REFERENCE_MATRICES: dict[str, Matrix] = {
-    "fibonacci": Matrix([[1, 0, -1], [-1, -1, 0], [0, 1, 1]]),
-    "pell": Fraction(1, 2) * Matrix([[3, -1, -4], [-1, -1, 0], [0, 1, 2]]),
-    "jacobsthal": Matrix([[2, 1, -1], [-2, -2, 0], [0, 1, 1]]),
+#: Each classic system as one (tabulated matrix, tabulated power form) row, keyed by name.
+#: The power form gives A^n from the window h(n-3)..h(n+2) of the system's own (r, s),
+#: written in the named sequence itself (F, P or J).
+_CLASSICS: dict[str, tuple[Matrix, Callable]] = {
+    "fibonacci": (Matrix([[1, 0, -1], [-1, -1, 0], [0, 1, 1]]),
+                  lambda f_nm3, f_nm2, f_nm1, f_n, f_np1, f_np2: Matrix([
+                      [f_n, -f_nm1, -f_np1],
+                      [-f_nm2, f_nm3, f_nm1],
+                      [-f_nm1, f_nm2, f_n],
+                  ])),
+    "pell": (Fraction(1, 2) * Matrix([[3, -1, -4], [-1, -1, 0], [0, 1, 2]]),
+             lambda p_nm3, p_nm2, p_nm1, p_n, p_np1, p_np2: Fraction(1, 2) * Matrix([
+                 [p_np2 - p_np1, -(p_np1 - p_n), -2 * p_np1],
+                 [-(p_n - p_nm1), p_nm1 - p_nm2, 2 * p_nm1],
+                 [-(p_np1 - p_n), p_n - p_nm1, p_n],
+             ])),
+    "jacobsthal": (Matrix([[2, 1, -1], [-2, -2, 0], [0, 1, 1]]),
+                   lambda j_nm3, j_nm2, j_nm1, j_n, j_np1, j_np2: Matrix([
+                       [2 * j_n, -(j_np1 - 2 * j_n), -j_np1],
+                       [-4 * j_nm2, 2 * (j_nm1 - 2 * j_nm2), 2 * j_nm1],
+                       [-2 * j_nm1, j_n - 2 * j_nm1, j_n],
+                   ])),
 }
 
 
 #: Built-in (r, s) to name, for the built-ins with a tabulated reference.
 _CLASSIC_NAMES = {(entry.r, entry.s): entry.name
-                  for entry in BUILTIN_ENTRIES if entry.name in _REFERENCE_MATRICES}
+                  for entry in BUILTIN_ENTRIES if entry.name in _CLASSICS}
 
 
 @functools.cache
 def _classic_table() -> dict[str, ClassicSystem]:
     pattern = VARIANT_PATTERNS[1]
     return {
-        name: ClassicSystem(name, derive(r, s, pattern), _REFERENCE_MATRICES[name])
+        name: ClassicSystem(name, derive(r, s, pattern), _CLASSICS[name][0])
         for (r, s), name in _CLASSIC_NAMES.items()
     }
 
@@ -306,8 +323,6 @@ def reference_power(name: str, n: int) -> Matrix:
     rather than the generic five-term window, so they give an independent
     cross-check of the variant-1 power form.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
     system = classic_system(name).system
     return reference_power_from_window(name, h_window(system.r, system.s, n))
 
@@ -315,26 +330,8 @@ def reference_power(name: str, n: int) -> Matrix:
 def reference_power_from_window(name: str, h: tuple) -> Matrix:
     """The tabulated power form for h the window of :func:`h_window` at n,
     taken over the named system's own (r, s)."""
-    if name == "fibonacci":
-        f_nm3, f_nm2, f_nm1, f_n, f_np1, _ = h
-        return Matrix([
-            [f_n, -f_nm1, -f_np1],
-            [-f_nm2, f_nm3, f_nm1],
-            [-f_nm1, f_nm2, f_n],
-        ])
-    if name == "pell":
-        _, p_nm2, p_nm1, p_n, p_np1, p_np2 = h
-        return Fraction(1, 2) * Matrix([
-            [p_np2 - p_np1, -(p_np1 - p_n), -2 * p_np1],
-            [-(p_n - p_nm1), p_nm1 - p_nm2, 2 * p_nm1],
-            [-(p_np1 - p_n), p_n - p_nm1, p_n],
-        ])
-    if name == "jacobsthal":
-        _, j_nm2, j_nm1, j_n, j_np1, _ = h
-        return Matrix([
-            [2 * j_n, -(j_np1 - 2 * j_n), -j_np1],
-            [-4 * j_nm2, 2 * (j_nm1 - 2 * j_nm2), 2 * j_nm1],
-            [-2 * j_nm1, j_n - 2 * j_nm1, j_n],
-        ])
-    raise ValueError(f"unknown classic system {name!r}")
+    row = _CLASSICS.get(name)
+    if row is None:
+        raise ValueError(f"unknown classic system {name!r}")
+    return row[1](*h)
 

@@ -66,6 +66,11 @@ DISCREPANCY = "discrepancy"
 _BINET_N_MIN = -10
 
 
+def _first_index(lo: int, s: Fraction) -> int:
+    """The first index of a check that holds from lo: at least 0 when s = 0, where h(n < 0) is undefined."""
+    return max(lo, 0) if s == 0 else lo
+
+
 @dataclass(frozen=True)
 class FirstFailure:
     index: int
@@ -261,7 +266,7 @@ def check_binet(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     [0, n_max] when s = 0, since h(n) for n < 0 needs s != 0."""
     r = as_fraction(r)
     s = as_fraction(s)
-    n_min = 0 if s == 0 else _BINET_N_MIN
+    n_min = _first_index(_BINET_N_MIN, s)
     _require_range(n_min, n_max)  # before alpha^n_min, which an empty range must not pay for
     alpha, beta = roots(r, s)
     gap = alpha - beta
@@ -348,7 +353,7 @@ def run_suite(grid: list[RecurrenceParams], n_max: int) -> list[IdentityReport]:
     for params in grid:
         r, s = params.r, params.s
         # (report name, check, arguments, range of a skipped report)
-        rows = [(identity, check, (r, s, max(n_max, lo)), lo, n_max)
+        rows = [(identity, check, (r, s, max(n_max, lo)), _first_index(lo, s), n_max)
                 for identity, check, lo in _PAIR_CHECKS]
         for variant in sorted(VARIANT_PATTERNS):
             rows += [(f"{check}_{variant}", check, (variant, r, s, n_max), 1, n_max)

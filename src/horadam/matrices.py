@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import DomainError, SingularMatrixError
+from .errors import SingularMatrixError
 from .exact import QuadElem  # noqa: F401  (perfbench reaches matrices.QuadElem)
 from .exact import RationalLike, as_fraction, power
 from .sequences import h_window
@@ -170,10 +170,8 @@ def companion(r: RationalLike, s: RationalLike) -> Matrix:
 def companion_power_form(r: RationalLike, s: RationalLike, n: int) -> Matrix:
     """The n-th companion power assembled from sequence values:
     [[h(n+1), s*h(n)], [h(n), s*h(n-1)]] for n >= 1."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    s = as_fraction(s)
-    return companion_power_from_window(s, h_window(r, s, n))
+    h = h_window(r, s, n)
+    return companion_power_from_window(as_fraction(s), h)
 
 
 def companion_power_from_window(s: Fraction, h: tuple) -> Matrix:
@@ -183,11 +181,9 @@ def companion_power_from_window(s: Fraction, h: tuple) -> Matrix:
 
 def companion_decomposition_check(r: RationalLike, s: RationalLike, n: int) -> bool:
     """Whether Q^n = h(n)*Q + s*h(n-1)*I holds exactly for the companion Q."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    s = as_fraction(s)
+    h = h_window(r, s, n)
     q = companion(r, s)
-    return q ** n == companion_decomposition_from_window(q, s, h_window(r, s, n))
+    return q ** n == companion_decomposition_from_window(q, as_fraction(s), h)
 
 
 def companion_decomposition_from_window(q: Matrix, s: Fraction, h: tuple) -> Matrix:

@@ -114,11 +114,8 @@ def binet_from_powers(alpha_n: QuadElem, beta_n: QuadElem, gap: QuadElem) -> Fra
 
 def linear_approx_check(r: RationalLike, s: RationalLike, n: int) -> bool:
     """Whether alpha^n = alpha*h(n) + s*h(n-1) and the beta twin hold exactly."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    r = as_fraction(r)
-    s = as_fraction(s)
     h = h_window(r, s, n)
+    s = as_fraction(s)
     return all(linear_approx_holds(root, root ** n, s, h) for root in roots(r, s))
 
 
@@ -164,7 +161,10 @@ def h_windows(r: RationalLike, s: RationalLike, lo: int) -> Iterator[tuple]:
 
 
 def h_window(r: RationalLike, s: RationalLike, n: int) -> tuple:
-    """(h(n-3), ..., h(n+2)) in O(log n) steps: fast doubling, then the recurrence."""
+    """(h(n-3), ..., h(n+2)) in O(log n) steps: fast doubling, then the recurrence.
+    DomainError unless n >= 1: every per-index function takes its window here, so this checks their n."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     return next(h_windows(r, s, n))
 
 

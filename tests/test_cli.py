@@ -481,6 +481,24 @@ class TestClosedStdout:
             proc.stderr.close()
 
 
+class TestOptimizedInterpreter:
+    """No check is an assert: under `python -O` the CLI still prints the pinned bytes."""
+
+    @pytest.mark.parametrize("argv,golden", [
+        (("verify", "--defaults", "--n-max", "16"), "verify_defaults_n16.json"),
+        (("derive", "--r", "2", "--s", "1", "--pattern", "+-+", "--n", "12", "--format", "csv"),
+         "derive_pell_n12.csv"),
+    ], ids=["verify-defaults-16", "derive-pell-csv"])
+    def test_output_is_pinned(self, argv, golden):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(horadam.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+        env.pop("HORADAM_REGISTRY", None)
+        proc = subprocess.run([sys.executable, "-O", "-m", "horadam", *argv],
+                              capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == (GOLDEN / golden).read_bytes()
+
+
 class TestOutputContracts:
     def test_csv_and_json_encode_the_same_values(self, capsys):
         argv = ["seq", "--r", "4", "--s", "3", "--from=-3", "--to", "5"]

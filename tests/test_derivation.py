@@ -262,7 +262,7 @@ class TestClosedPower:
             power = power * system.matrix
 
     def test_requires_positive_n(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^n must be >= 1, got 0$"):
             closed_power(derive(1, 1, P1), 0)
 
 
@@ -283,7 +283,7 @@ class TestPowerForm:
 
     @pytest.mark.parametrize("variant", [1, 2, 3])
     def test_sweep_against_matrix_power(self, variant):
-        for r, s in GRID:
+        for r, s in GRID + FRACTIONAL_GRID:
             if variant == 2 and r == 2:
                 continue
             base = preset_matrix(variant, r, s)
@@ -299,7 +299,7 @@ class TestPowerForm:
             power_form(2, 2, 1, 3)
         with pytest.raises(DomainError):
             power_form(1, 1, 0, 3)  # s = 0 reaches h(-1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^n must be >= 1, got 0$"):
             power_form(1, 1, 1, 0)
         with pytest.raises(ValueError):
             power_form(4, 1, 1, 3)

@@ -249,6 +249,12 @@ class TestRunSuite:
         assert statuses["linear_approximation"] == "skipped"
         assert statuses["closed_power_1"] == "skipped"
 
+    def test_skipped_binet_row_has_the_checks_range(self):
+        # With s = 0 the Binet check starts at 0, not at -10, and so does its skipped row.
+        reports = {r.identity: r for r in run_suite([RecurrenceParams(0, 1, 0, 0)], 3)}
+        binet = reports["binet_recurrence"]
+        assert (binet.status, binet.lo, binet.hi) == ("skipped", 0, 3)
+
     def test_deterministic_and_sorted(self):
         grid = default_grid()
         first = run_suite(grid, 12)
@@ -391,8 +397,9 @@ class TestVariantNumber:
         lambda v: check_power_det_zero(v, 3, 2, 4),
         lambda v: check_closed_power(v, 3, 2, 4),
         lambda v: check_projector_algebra(v, 3, 2),
+        lambda v: power_form_from_window(v, 3, 2, h_window(3, 2, 4)),
     ], ids=["preset_matrix", "power_form", "check_power_form", "check_power_det_zero",
-            "check_closed_power", "check_projector_algebra"])
+            "check_closed_power", "check_projector_algebra", "power_form_from_window"])
     @pytest.mark.parametrize("variant", [0, 4])
     def test_unknown_variant_rejected(self, call, variant):
         with pytest.raises(ValueError, match=rf"^variant must be one of \[1, 2, 3\], got {variant}$"):

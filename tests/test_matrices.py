@@ -203,7 +203,7 @@ class TestCompanionPowerForm:
         assert m[0, 0] == gen_fib(6, -1, 10)
 
     def test_requires_positive_n(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^n must be >= 1, got 0$"):
             companion_power_form(1, 1, 0)
 
 

@@ -145,7 +145,7 @@ class TestLinearApproximation:
         assert all(linear_approx_check(r, s, n) for n in range(1, 101))
 
     def test_requires_positive_n(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^n must be >= 1, got 0$"):
             linear_approx_check(1, 1, 0)
 
 
