@@ -222,18 +222,22 @@ def preset_matrix(variant: int, r: RationalLike, s: RationalLike) -> Matrix:
 
 
 def power_form(variant: int, r: RationalLike, s: RationalLike, n: int) -> Matrix:
-    """A^n for a special pattern, assembled entrywise from h(n-2)..h(n+2).
+    """A^n for a special pattern, assembled entrywise from h(n-2)..h(n+2)."""
+    variant_pattern(variant)  # an unknown variant is reported before a bad n
+    h = h_window(r, s, n)
+    r, s = power_form_domain(variant, r, s)
+    return power_form_from_window(variant, r, s, h)
 
-    Requires s != 0 since n = 1 reaches back to h(-1) = 1/s.
-    """
-    pattern = variant_pattern(variant)
+
+def power_form_domain(variant: int, r: RationalLike, s: RationalLike) -> tuple[Fraction, Fraction]:
+    """(r, s) as Fractions, for the 1/(r - pole) of the power form.  DomainError unless
+    s != 0, since n = 1 reaches back to h(-1) = 1/s, and r is in the variant's domain."""
     r = as_fraction(r)
     s = as_fraction(s)
-    h = h_window(r, s, n)
     if s == 0:
         raise DomainError("the entrywise power form requires s != 0")
-    _check_variant_domain(r, pattern)
-    return power_form_from_window(variant, r, s, h)
+    _check_variant_domain(r, variant_pattern(variant))
+    return r, s
 
 
 def power_form_from_window(variant: int, r: Fraction, s: Fraction, h: tuple) -> Matrix:
@@ -330,8 +334,5 @@ def reference_power(name: str, n: int) -> Matrix:
 def reference_power_from_window(name: str, h: tuple) -> Matrix:
     """The tabulated power form for h the window of :func:`h_window` at n,
     taken over the named system's own (r, s)."""
-    row = _CLASSICS.get(name)
-    if row is None:
-        raise ValueError(f"unknown classic system {name!r}")
-    return row[1](*h)
+    return _CLASSICS[classic_system(name).name][1](*h)
 

@@ -34,6 +34,7 @@ from .derivation import (
     classic_systems,
     closed_power_from_window,
     derive,
+    power_form_domain,
     power_form_from_window,
     preset_matrix,
     reference_power_from_window,
@@ -66,7 +67,7 @@ DISCREPANCY = "discrepancy"
 _BINET_N_MIN = -10
 
 
-def _first_index(lo: int, s: Fraction) -> int:
+def _first_index(lo: int, s: RationalLike) -> int:
     """The first index of a check that holds from lo: at least 0 when s = 0, where h(n < 0) is undefined."""
     return max(lo, 0) if s == 0 else lo
 
@@ -108,7 +109,7 @@ class IdentityReport:
 
 def _report(identity, r, s, lo, hi, failure=None) -> IdentityReport:
     status = FAIL if failure is not None else PASS
-    return IdentityReport(identity, r, s, lo, hi, status, failure)
+    return IdentityReport(identity, as_fraction(r), as_fraction(s), lo, hi, status, failure)
 
 
 def _matrix_text(m: Matrix) -> str:
@@ -134,7 +135,8 @@ def _require_range(lo: int, n_max: int) -> None:
         raise DomainError(f"n_max must be >= {lo}, got {n_max}")
 
 
-def _sweep(r: Fraction, s: Fraction, lo: int, n_max: int, bases: list, powers: list, differ, windows=None):
+def _sweep(r: RationalLike, s: RationalLike, lo: int, n_max: int, bases: list, powers: list, differ,
+           windows=None):
     """The first (n, differ(h, *powers)) that is not None for n in [lo, n_max], else None.
 
     h is the window h(n-3)..h(n+2) at n, taken from ``windows`` when a check
@@ -163,8 +165,7 @@ def _unequal(lhs, rhs, text=str) -> tuple[str, str] | None:
 
 def check_cassini(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """h(n)^2 - h(n-1)*h(n+1) = (-s)^(n-1) for n in [1, n_max]."""
-    r = as_fraction(r)
-    s = as_fraction(s)
+    s = as_fraction(s)  # before -s, so that a non-rational s gets the package's own TypeError
     return _streamed("cassini", r, s, 1, n_max, [-s], [Fraction(1)],
                      lambda h, sign_power: _unequal(h[3] * h[3] - h[2] * h[4], sign_power))
 
@@ -172,8 +173,6 @@ def check_cassini(r: RationalLike, s: RationalLike, n_max: int) -> IdentityRepor
 def check_cubic(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """h(n)^3 + h(n-1)^2*h(n+2) + h(n+1)^2*h(n-2)
     = h(n)*(h(n-2)*h(n+2) + 2*h(n-1)*h(n+1)) for n in [2, n_max]."""
-    r = as_fraction(r)
-    s = as_fraction(s)
 
     def differ(h):
         _, h_nm2, h_nm1, h_n, h_np1, h_np2 = h
@@ -185,19 +184,14 @@ def check_cubic(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
 
 def check_power_form(variant: int, r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """Running product of the preset A equals the entrywise power form, n in [1, n_max]."""
-    r = as_fraction(r)
-    s = as_fraction(s)
     base = preset_matrix(variant, r, s)
-    if s == 0:
-        raise DomainError("the entrywise power form requires s != 0")
+    r, s = power_form_domain(variant, r, s)
     return _streamed(f"power_form_{variant}", r, s, 1, n_max, [base], [base],
                      lambda h, power: _unequal(power, power_form_from_window(variant, r, s, h), _matrix_text))
 
 
 def check_power_det_zero(variant: int, r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """det(A^n) = 0 for the preset matrices, n in [1, n_max].  No h value is read."""
-    r = as_fraction(r)
-    s = as_fraction(s)
     base = preset_matrix(variant, r, s)
     return _streamed(f"power_det_zero_{variant}", r, s, 1, n_max, [base], [base],
                      lambda _, power: None if is_singular(power) else (str(power.det()), "0"), repeat(None))
@@ -206,8 +200,6 @@ def check_power_det_zero(variant: int, r: RationalLike, s: RationalLike, n_max: 
 def check_closed_power(variant: int, r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """The closed form h(n)*A + s*h(n-1)*(I - E) equals the running product
     A^n for the derived system, n in [1, n_max]."""
-    r = as_fraction(r)
-    s = as_fraction(s)
     system = derive(r, s, variant_pattern(variant))
     a = system.matrix
     return _streamed(f"closed_power_{variant}", r, s, 1, n_max, [a], [a],
@@ -216,8 +208,6 @@ def check_closed_power(variant: int, r: RationalLike, s: RationalLike, n_max: in
 
 def check_projector_algebra(variant: int, r: RationalLike, s: RationalLike) -> IdentityReport:
     """E^2 = E, A*E = E*A = 0, det A = 0, trace A = r, A^3 = r*A^2 + s*A."""
-    r = as_fraction(r)
-    s = as_fraction(s)
     name = f"projector_algebra_{variant}"
     system = derive(r, s, variant_pattern(variant))
     a, e = system.matrix, system.projector
@@ -240,8 +230,6 @@ def check_projector_algebra(variant: int, r: RationalLike, s: RationalLike) -> I
 
 def check_companion_power(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """Q^n matches [[h(n+1), s*h(n)], [h(n), s*h(n-1)]] and det(Q^n) = (-s)^n."""
-    r = as_fraction(r)
-    s = as_fraction(s)
     q = companion(r, s)
 
     def differ(h, power, sign_power):
@@ -253,8 +241,6 @@ def check_companion_power(r: RationalLike, s: RationalLike, n_max: int) -> Ident
 
 def check_companion_decomposition(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """Q^n = h(n)*Q + s*h(n-1)*I for n in [1, n_max]."""
-    r = as_fraction(r)
-    s = as_fraction(s)
     q = companion(r, s)
     return _streamed("companion_decomposition", r, s, 1, n_max, [q], [q],
                      lambda h, power: None if power == companion_decomposition_from_window(q, s, h)
@@ -264,10 +250,7 @@ def check_companion_decomposition(r: RationalLike, s: RationalLike, n_max: int) 
 def check_binet(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """(alpha^n - beta^n)/(alpha - beta) = h(n) for n in [-10, n_max], or in
     [0, n_max] when s = 0, since h(n) for n < 0 needs s != 0."""
-    r = as_fraction(r)
-    s = as_fraction(s)
     n_min = _first_index(_BINET_N_MIN, s)
-    _require_range(n_min, n_max)  # before alpha^n_min, which an empty range must not pay for
     alpha, beta = roots(r, s)
     gap = alpha - beta
     return _streamed("binet_recurrence", r, s, n_min, n_max, [alpha, beta], [alpha ** n_min, beta ** n_min],
@@ -276,8 +259,6 @@ def check_binet(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
 
 def check_linear_approximation(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """alpha^n = alpha*h(n) + s*h(n-1) and the beta twin, n in [1, n_max]."""
-    r = as_fraction(r)
-    s = as_fraction(s)
     alpha, beta = roots(r, s)
     return _streamed("linear_approximation", r, s, 1, n_max, [alpha, beta], [alpha, beta],
                      lambda h, alpha_n, beta_n: None

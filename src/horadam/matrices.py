@@ -164,17 +164,17 @@ def is_singular(m: Matrix) -> bool:
 
 def companion(r: RationalLike, s: RationalLike) -> Matrix:
     """The 2x2 companion matrix [[r, s], [1, 0]] of the recurrence."""
-    return Matrix([[as_fraction(r), as_fraction(s)], [Fraction(1), Fraction(0)]])
+    return Matrix([[r, s], [Fraction(1), Fraction(0)]])
 
 
 def companion_power_form(r: RationalLike, s: RationalLike, n: int) -> Matrix:
     """The n-th companion power assembled from sequence values:
     [[h(n+1), s*h(n)], [h(n), s*h(n-1)]] for n >= 1."""
     h = h_window(r, s, n)
-    return companion_power_from_window(as_fraction(s), h)
+    return companion_power_from_window(s, h)
 
 
-def companion_power_from_window(s: Fraction, h: tuple) -> Matrix:
+def companion_power_from_window(s: RationalLike, h: tuple) -> Matrix:
     """[[h(n+1), s*h(n)], [h(n), s*h(n-1)]] for h the window of :func:`h_window` at n."""
     return Matrix([[h[4], s * h[3]], [h[3], s * h[2]]])
 
@@ -183,9 +183,9 @@ def companion_decomposition_check(r: RationalLike, s: RationalLike, n: int) -> b
     """Whether Q^n = h(n)*Q + s*h(n-1)*I holds exactly for the companion Q."""
     h = h_window(r, s, n)
     q = companion(r, s)
-    return q ** n == companion_decomposition_from_window(q, as_fraction(s), h)
+    return q ** n == companion_decomposition_from_window(q, s, h)
 
 
-def companion_decomposition_from_window(q: Matrix, s: Fraction, h: tuple) -> Matrix:
+def companion_decomposition_from_window(q: Matrix, s: RationalLike, h: tuple) -> Matrix:
     """h(n)*Q + s*h(n-1)*I for h the window of :func:`h_window` at n."""
     return h[3] * q + (s * h[2]) * Matrix.identity(2)

@@ -91,13 +91,12 @@ def _quoted(text) -> str:
     return repr(text) if len(shown) <= _MAX_QUOTE else f"{shown[:_MAX_QUOTE]!r}... ({len(shown)} characters)"
 
 
-def registry_path(explicit: str | None, env: dict | None = None) -> Path | None:
+def registry_path(explicit: str | None) -> Path | None:
     """Resolve the user registry path: explicit flag first, then the
     HORADAM_REGISTRY environment variable."""
     if explicit:
         return Path(explicit)
-    env = os.environ if env is None else env
-    from_env = env.get(ENV_VAR)
+    from_env = os.environ.get(ENV_VAR)
     return Path(from_env) if from_env else None
 
 

@@ -73,7 +73,7 @@ def horadam_range(params: RecurrenceParams, lo: int, hi: int) -> list[SeqValue]:
 
 def gen_fib(r: RationalLike, s: RationalLike, n: int) -> Fraction:
     """h(n), the unit-seeded sequence; h(-1) = 1/s."""
-    return horadam_eval(RecurrenceParams(Fraction(0), Fraction(1), as_fraction(r), as_fraction(s)), n)
+    return horadam_eval(RecurrenceParams(Fraction(0), Fraction(1), r, s), n)
 
 
 def roots(r: RationalLike, s: RationalLike) -> tuple[QuadElem, QuadElem]:
@@ -115,11 +115,10 @@ def binet_from_powers(alpha_n: QuadElem, beta_n: QuadElem, gap: QuadElem) -> Fra
 def linear_approx_check(r: RationalLike, s: RationalLike, n: int) -> bool:
     """Whether alpha^n = alpha*h(n) + s*h(n-1) and the beta twin hold exactly."""
     h = h_window(r, s, n)
-    s = as_fraction(s)
     return all(linear_approx_holds(root, root ** n, s, h) for root in roots(r, s))
 
 
-def linear_approx_holds(root: QuadElem, root_n: QuadElem, s: Fraction, h: tuple) -> bool:
+def linear_approx_holds(root: QuadElem, root_n: QuadElem, s: RationalLike, h: tuple) -> bool:
     """Whether root^n = root*h(n) + s*h(n-1), for h the window of :func:`h_window` at n."""
     return root_n == root * h[3] + s * h[2]
 

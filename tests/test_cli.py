@@ -295,6 +295,7 @@ USAGE_ERRORS = [
      "error: malformed fraction 'x': Invalid literal for Fraction: 'x'\n"),
     (("seq", "fibonacci", "5..4"), 2, "error: empty index range [5, 4]\n"),
     (("seq", "fibonacci"), 2, "error: an index range is required: FROM..TO or --from/--to\n"),
+    (("seq", "fibonacci", "0-10"), 2, "error: range must look like FROM..TO, got '0-10'\n"),
     (("bench", "fibonacci", "10", "warp"), 2,
      "error: unknown strategies ['warp']; pick from ['iterative', 'matrix-pow', 'fast-doubling']\n"),
     (("bench", "fibonacci", "0"), 2, "error: n must be >= 1, got 0\n"),

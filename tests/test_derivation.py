@@ -7,6 +7,7 @@ import pytest
 from horadam import (
     DegenerateEigenbasisError,
     DomainError,
+    HoradamError,
     KernelPattern,
     Matrix,
     VARIANT_PATTERNS,
@@ -180,6 +181,14 @@ class TestDerive:
     def test_zero_kernel_scale_rejected(self):
         with pytest.raises(DomainError):
             derive(3, 2, P1, t=0)
+
+    def test_eigen_equation_guard(self, monkeypatch):
+        # A wrong solve of A = R * B^(-1) must be caught, not returned.
+        monkeypatch.setattr(Matrix, "inverse", lambda self: Matrix.identity(3))
+        with pytest.raises(HoradamError) as info:
+            derive(1, 1, P1)
+        assert type(info.value) is HoradamError
+        assert str(info.value) == "derived matrix fails its eigen-equations at r=1, s=1"
 
     @pytest.mark.parametrize("text", [str(p) for p in ALL_PATTERNS])
     def test_degenerate_eigenbasis(self, text):

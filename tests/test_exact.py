@@ -1,4 +1,5 @@
-"""Rational square roots and arithmetic in Q(sqrt(D))."""
+"""Rational square roots, arithmetic in Q(sqrt(D)), and the exactness
+contract of every public function that takes r and s."""
 
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import horadam
 from horadam import DomainError, QuadElem, rational_sqrt
 
 
@@ -125,6 +127,12 @@ class TestQuadElem:
         assert str(QuadElem(Fraction(1, 2), Fraction(-1, 2), 5)) == "1/2 - 1/2*sqrt(5)"
         assert str(QuadElem(0, 1, 5)) == "0 + sqrt(5)"
         assert str(QuadElem(Fraction(-7, 3), 0, 5)) == "-7/3"
+        assert repr(QuadElem(1, 2, 5)) == "QuadElem(1, 2, disc=5)"
+
+    def test_equal_values_hash_equally(self):
+        assert len({hash(x) for x in (QuadElem(3, 0, 5), QuadElem(3, 0, 7), 3, Fraction(3))}) == 1
+        alpha, _ = alpha_beta(1, 1)
+        assert alpha * alpha == alpha + 1 and hash(alpha * alpha) == hash(alpha + 1)
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -174,3 +182,45 @@ class TestQuadElemProperties:
         alpha, beta = alpha_beta(r, s)
         assert alpha + beta == r
         assert alpha * beta == -s
+
+
+#: Every public function taking r and s, as (name, arguments before r and s, arguments after).
+RS_FUNCTIONS = [
+    *[(f"check_{c}", (), (6,)) for c in ("cassini", "cubic", "companion_power", "companion_decomposition",
+                                         "binet", "linear_approximation")],
+    *[(f"check_{c}", (1,), (6,)) for c in ("power_form", "power_det_zero", "closed_power")],
+    ("check_projector_algebra", (1,), ()),
+    ("power_form", (1,), (5,)),
+    ("preset_matrix", (2,), ()),
+    ("derive", (), (horadam.VARIANT_PATTERNS[3],)),
+    ("companion", (), ()),
+    ("companion_power_form", (), (5,)),
+    ("companion_decomposition_check", (), (5,)),
+    ("linear_approx_check", (), (5,)),
+    ("binet_eval", (), (-5,)),
+    ("gen_fib", (), (-5,)),
+    ("fast_gen_fib", (), (5,)),
+    ("roots", (), ()),
+]
+
+
+@pytest.mark.parametrize("name,before,after", RS_FUNCTIONS, ids=[name for name, _, _ in RS_FUNCTIONS])
+class TestExactnessContract:
+    """r and s are ints or Fractions; anything else is the package's own TypeError."""
+
+    def call(self, name, before, after, r, s):
+        return getattr(horadam, name)(*before, r, s, *after)
+
+    def test_ints_act_as_fractions(self, name, before, after):
+        # (3, 2): D = 17 > 0, s != 0 and r outside every variant's {0, pole}.
+        from_ints = self.call(name, before, after, 3, 2)
+        from_fractions = self.call(name, before, after, Fraction(3), Fraction(2))
+        assert from_ints == from_fractions
+        assert repr(from_ints) == repr(from_fractions)
+
+    @pytest.mark.parametrize("r,s,kind", [(3.0, 2, "float"), (3, 2.0, "float"), ("3", 2, "str"), (3, "2", "str")],
+                             ids=["float-r", "float-s", "str-r", "str-s"])
+    def test_non_rationals_rejected(self, name, before, after, r, s, kind):
+        with pytest.raises(TypeError) as info:
+            self.call(name, before, after, r, s)
+        assert str(info.value) == f"expected an exact rational, got {kind}"

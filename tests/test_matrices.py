@@ -70,6 +70,9 @@ class TestArithmetic:
             with pytest.raises(TypeError):
                 Matrix([[entry]])
 
+    def test_repr(self):
+        assert repr(Matrix([[1, Fraction(1, 2)], [0, 3]])) == "Matrix[1 1/2; 0 3]"
+
     def test_scalar_multiplication(self):
         m = Matrix([[1, 2], [3, 4]])
         assert Fraction(1, 2) * m == Matrix([[Fraction(1, 2), 1], [Fraction(3, 2), 2]])
