@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DegenerateEigenbasisError, DomainError, HoradamError, SingularMatrixError
-from .exact import QuadElem, RationalLike, as_fraction
+from .exact import QuadElem, RationalLike, as_fraction, narrow
 from .matrices import Matrix
 from .registry import BUILTIN_ENTRIES
 from .sequences import fast_gen_fib  # noqa: F401  (perfbench reaches derivation.fast_gen_fib)
@@ -222,28 +222,29 @@ def preset_matrix(variant: int, r: RationalLike, s: RationalLike) -> Matrix:
 
 
 def power_form(variant: int, r: RationalLike, s: RationalLike, n: int) -> Matrix:
-    """A^n for a special pattern, assembled entrywise from h(n-2)..h(n+2)."""
-    variant_pattern(variant)  # an unknown variant is reported before a bad n
-    h = h_window(r, s, n)
+    """A^n for a special pattern, assembled entrywise from h(n-2)..h(n+2).
+    The variant and its domain are checked before n, and before the window costs anything."""
     r, s = power_form_domain(variant, r, s)
-    return power_form_from_window(variant, r, s, h)
+    return power_form_from_window(variant, r, s, h_window(r, s, n))
 
 
-def power_form_domain(variant: int, r: RationalLike, s: RationalLike) -> tuple[Fraction, Fraction]:
-    """(r, s) as Fractions, for the 1/(r - pole) of the power form.  DomainError unless
-    s != 0, since n = 1 reaches back to h(-1) = 1/s, and r is in the variant's domain."""
-    r = as_fraction(r)
-    s = as_fraction(s)
+def power_form_domain(variant: int, r: RationalLike, s: RationalLike) -> tuple[RationalLike, RationalLike]:
+    """(r, s) narrowed to ints where integral, for the window core.  ValueError for an
+    unknown variant; then DomainError unless s != 0, since n = 1 reaches back to
+    h(-1) = 1/s, and r is in the variant's domain."""
+    pattern = variant_pattern(variant)
+    r = narrow(r)
+    s = narrow(s)
     if s == 0:
         raise DomainError("the entrywise power form requires s != 0")
-    _check_variant_domain(r, variant_pattern(variant))
+    _check_variant_domain(r, pattern)
     return r, s
 
 
-def power_form_from_window(variant: int, r: Fraction, s: Fraction, h: tuple) -> Matrix:
+def power_form_from_window(variant: int, r: RationalLike, s: RationalLike, h: tuple) -> Matrix:
     """The entrywise power form for h the window of :func:`h_window` at n."""
     _, pole, _, form = _VARIANTS[variant]
-    return 1 / (r - pole) * Matrix(form(r, s, *h))
+    return Fraction(1, r - pole) * Matrix(form(r, s, *h))
 
 
 @dataclass(frozen=True)

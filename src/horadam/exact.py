@@ -1,10 +1,12 @@
 """Exact scalar arithmetic.
 
-Sequence values and matrix entries are reduced rationals (plain
-``fractions.Fraction``); the roots alpha, beta of x^2 - r*x - s and their
-powers are elements ``p + q*sqrt(D)`` of a real quadratic extension, held
-by :class:`QuadElem`.  Everything is immutable and every operation is
-exact; nothing here ever rounds.
+Sequence values and matrix entries are exact rationals: plain ``int``s
+inside the package wherever the value is integral (:func:`narrow`), and
+reduced ``fractions.Fraction``s otherwise and in every public result.  The
+roots alpha, beta of x^2 - r*x - s and their powers are elements
+``p + q*sqrt(D)`` of a real quadratic extension, held by :class:`QuadElem`
+as integers over one denominator.  Everything is immutable and every
+operation is exact; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import contextlib
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import DomainError
 
@@ -27,6 +29,17 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def narrow(value: RationalLike) -> RationalLike:
+    """The same exact rational in the cheaper type: an int when it is
+    integral, else the Fraction.  For arithmetic inside the package; public
+    results are Fractions.  Anything else is as_fraction's TypeError."""
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):
+        return value
+    return as_fraction(value)
 
 
 def power(base, n: int, one):
@@ -68,18 +81,22 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
 
 
 class QuadElem:
-    """An element ``rat + irr*sqrt(disc)`` with exact rational coefficients.
+    """An element ``rat + irr*sqrt(disc)`` of a real quadratic field, exactly.
 
-    ``disc`` must be positive.  When ``disc`` is the square of a rational,
-    ``sqrt(disc)`` is itself rational and the irrational part is folded into
-    ``rat`` on construction, so the representation stays canonical and
-    equality is decidable by coefficient comparison.
+    ``disc`` must be positive and is kept as given, for display.  The value
+    is held as (P + Q*sqrt(m))/d with integers P, Q, d > 0 in lowest terms
+    (gcd(P, Q, d) = 1) and the integer radicand m = num(disc)*den(disc), since
+    sqrt(disc) = sqrt(m)/den(disc).  That form is canonical, so equality
+    compares integers and all arithmetic runs on ints; ``rat`` and ``irr``
+    read the coefficients back as Fractions.  When ``disc`` is the square of
+    a rational, ``sqrt(disc)`` is itself rational and the public constructor
+    folds the irrational part into ``rat``; arithmetic keeps Q = 0 there.
 
     Arithmetic only combines elements sharing the same ``disc``; plain ints
     and Fractions are accepted on either side and embedded on the fly.
     """
 
-    __slots__ = ("_rat", "_irr", "_disc")
+    __slots__ = ("_p", "_q", "_d", "_m", "_disc")
 
     def __init__(self, rat: RationalLike, irr: RationalLike, disc: RationalLike) -> None:
         disc = as_fraction(disc)
@@ -92,17 +109,32 @@ class QuadElem:
             if root is not None:
                 rat = rat + irr * root
                 irr = Fraction(0)
-        self._rat = rat
-        self._irr = irr
+        # irr*sqrt(disc) = (irr/den(disc))*sqrt(m).  As in Matrix, the lcm of
+        # reduced denominators leaves the numerators in lowest terms.
+        irr = irr / disc.denominator
+        d = lcm(rat.denominator, irr.denominator)
+        self._p = rat.numerator * (d // rat.denominator)
+        self._q = irr.numerator * (d // irr.denominator)
+        self._d = d
+        self._m = disc.numerator * disc.denominator
         self._disc = disc
+
+    def _with(self, p: int, q: int, d: int) -> QuadElem:
+        """(p + q*sqrt(m))/d in self's field, reduced, for d > 0; builds no Fraction."""
+        g = gcd(p, q, d)
+        if g != 1:
+            p, q, d = p // g, q // g, d // g
+        elem = object.__new__(QuadElem)
+        elem._p, elem._q, elem._d, elem._m, elem._disc = p, q, d, self._m, self._disc
+        return elem
 
     @property
     def rat(self) -> Fraction:
-        return self._rat
+        return Fraction(self._p, self._d)
 
     @property
     def irr(self) -> Fraction:
-        return self._irr
+        return Fraction(self._q * self._disc.denominator, self._d)
 
     @property
     def disc(self) -> Fraction:
@@ -113,105 +145,114 @@ class QuadElem:
         return cls(1, 0, disc)
 
     def __repr__(self) -> str:
-        return f"QuadElem({self._rat}, {self._irr}, disc={self._disc})"
+        return f"QuadElem({self.rat}, {self.irr}, disc={self._disc})"
 
     def __str__(self) -> str:
-        if not self._irr:
-            return str(self._rat)
-        sign = "+" if self._irr > 0 else "-"
-        mag = abs(self._irr)
+        if not self._q:
+            return str(self.rat)
+        irr = self.irr
+        sign = "+" if irr > 0 else "-"
+        mag = abs(irr)
         coef = "" if mag == 1 else f"{mag}*"
-        return f"{self._rat} {sign} {coef}sqrt({self._disc})"
+        return f"{self.rat} {sign} {coef}sqrt({self._disc})"
 
     def __bool__(self) -> bool:
-        return bool(self._rat) or bool(self._irr)
+        return bool(self._p) or bool(self._q)
 
     def __hash__(self) -> int:
-        if not self._irr:
-            return hash(self._rat)
-        return hash((self._rat, self._irr, self._disc))
+        if not self._q:
+            return hash(self.rat)
+        return hash((self.rat, self.irr, self._disc))
 
-    def _coerce(self, other: object) -> QuadElem | None:
+    def _same_field(self, other: QuadElem) -> bool:
+        return other._disc is self._disc or other._disc == self._disc
+
+    def _parts(self, other: object) -> tuple[int, int, int] | None:
+        """(P, Q, d) of ``other`` in self's field, or None for a type that does not embed."""
         if isinstance(other, QuadElem):
-            if other._disc != self._disc:
+            if not self._same_field(other):
                 raise ValueError(
                     f"mismatched discriminants: {self._disc} vs {other._disc}"
                 )
-            return other
+            return other._p, other._q, other._d
         if isinstance(other, (int, Fraction)):
-            return QuadElem(other, 0, self._disc)
+            return other.numerator, 0, other.denominator
         return None
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadElem):
-            if self._disc != other._disc:
-                return (not self._irr and not other._irr
-                        and self._rat == other._rat)
-            return self._rat == other._rat and self._irr == other._irr
+            if not self._same_field(other):
+                return (not self._q and not other._q
+                        and self._p == other._p and self._d == other._d)
+            return self._p == other._p and self._q == other._q and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return not self._irr and self._rat == other
+            return not self._q and self._p == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __add__(self, other: object) -> QuadElem:
-        rhs = self._coerce(other)
-        if rhs is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return QuadElem(self._rat + rhs._rat, self._irr + rhs._irr, self._disc)
+        p, q, d = parts
+        return self._with(self._p * d + p * self._d, self._q * d + q * self._d, self._d * d)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> QuadElem:
-        rhs = self._coerce(other)
-        if rhs is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return QuadElem(self._rat - rhs._rat, self._irr - rhs._irr, self._disc)
+        p, q, d = parts
+        return self._with(self._p * d - p * self._d, self._q * d - q * self._d, self._d * d)
 
     def __rsub__(self, other: object) -> QuadElem:
-        rhs = self._coerce(other)
-        if rhs is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return rhs - self
+        p, q, d = parts
+        return self._with(p * self._d - self._p * d, q * self._d - self._q * d, self._d * d)
 
     def __neg__(self) -> QuadElem:
-        return QuadElem(-self._rat, -self._irr, self._disc)
+        return self._with(-self._p, -self._q, self._d)
 
     def __mul__(self, other: object) -> QuadElem:
-        rhs = self._coerce(other)
-        if rhs is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        rat = self._rat * rhs._rat + self._irr * rhs._irr * self._disc
-        irr = self._rat * rhs._irr + self._irr * rhs._rat
-        return QuadElem(rat, irr, self._disc)
+        p, q, d = parts
+        return self._with(self._p * p + self._q * q * self._m, self._p * q + self._q * p, self._d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> QuadElem:
-        rhs = self._coerce(other)
-        if rhs is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return self * rhs.inverse()
+        return self * self._with(*parts).inverse()
 
     def __pow__(self, exponent: int) -> QuadElem:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        return power(self, exponent, QuadElem.one(self._disc))
+        return power(self, exponent, self._with(1, 0, 1))
 
     def norm(self) -> Fraction:
         """self times its conjugate rat - irr*sqrt(disc), always rational."""
-        return self._rat * self._rat - self._irr * self._irr * self._disc
+        return Fraction(self._p * self._p - self._q * self._q * self._m, self._d * self._d)
 
     def inverse(self) -> QuadElem:
-        """Multiplicative inverse, via the conjugate over the norm."""
+        """Multiplicative inverse, via the conjugate over the norm:
+        d*(P - Q*sqrt(m))/(P^2 - Q^2*m)."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        n = self.norm()
-        # norm = 0 with self != 0 would need disc to be a perfect square of
-        # a rational, and those representations fold to irr = 0 on input.
-        return QuadElem(self._rat / n, -self._irr / n, self._disc)
+        # P^2 - Q^2*m = 0 with self != 0 would need m to be a perfect square,
+        # and those representations fold to Q = 0 on input.
+        n = self._p * self._p - self._q * self._q * self._m
+        scale = self._d if n > 0 else -self._d
+        return self._with(self._p * scale, -self._q * scale, abs(n))
 
     def to_fraction(self) -> Fraction:
-        if self._irr:
+        if self._q:
             raise ValueError(f"{self} is not rational")
-        return self._rat
+        return Fraction(self._p, self._d)

@@ -4,7 +4,8 @@ A Matrix is held as an integer matrix N over one positive common
 denominator d, in lowest terms (gcd(d, entries of N) = 1).  That form is
 canonical, so equality compares integers, and sums, products, powers,
 determinants and the inverse run on ints alone.  Entries are given as ints
-or Fractions (anything else is a TypeError) and are read back as Fractions.
+or Fractions (anything else is a TypeError) and are read back as Fractions;
+an int entry builds no Fraction.
 The 2x2 size holds the companion matrix, the 3x3 size the matrices with
 spectrum {alpha, beta, 0}.  Determinants use cofactor expansion and the one
 inverse, of the basis in :func:`~horadam.derivation.derive`, the adjugate:
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .errors import SingularMatrixError
 from .exact import QuadElem  # noqa: F401  (perfbench reaches matrices.QuadElem)
-from .exact import RationalLike, as_fraction, power
+from .exact import RationalLike, narrow, power
 from .sequences import h_window
 
 IntRows = tuple[tuple[int, ...], ...]
@@ -33,7 +34,7 @@ class Matrix:
     __slots__ = ("_num", "_den")
 
     def __init__(self, rows: Iterable[Sequence[RationalLike]]) -> None:
-        data = tuple(tuple(as_fraction(entry) for entry in row) for row in rows)
+        data = tuple(tuple(narrow(entry) for entry in row) for row in rows)
         if len(data) not in (2, 3) or any(len(row) != len(data) for row in data):
             raise ValueError("matrix must be square 2x2 or 3x3, "
                              f"got row lengths {[len(row) for row in data]}")

@@ -9,8 +9,10 @@ backward recurrence H(n) = (H(n+2) - r*H(n+1)) / s, which requires s != 0.
 Every run of consecutive values (``horadam_range``, ``h_windows``) comes
 from one walk of the forward recurrence.  For any seeds it reaches a
 positive first index by fast doubling, through H(n) = b*h(n) + a*s*h(n-1),
-rather than by stepping up from H(0).  ``horadam_eval`` iterates from the
-seeds and stays the independent reference for that walk.
+rather than by stepping up from H(0).  The walk and the doubling run on
+plain ints when a, b, r and s are integral, and on Fractions otherwise;
+public results are Fractions either way.  ``horadam_eval`` iterates from
+the seeds on Fractions and stays the independent reference for that walk.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .errors import DomainError
-from .exact import QuadElem, RationalLike, as_fraction
+from .exact import QuadElem, RationalLike, as_fraction, narrow
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ def horadam_range(params: RecurrenceParams, lo: int, hi: int) -> list[SeqValue]:
         raise ValueError(f"empty index range [{lo}, {hi}]")
     if lo < 0 and params.s == 0:
         raise DomainError("backward extension requires s != 0")
-    return [SeqValue(n, value) for n, value in zip(range(lo, hi + 1), _values(params, lo))]
+    return [SeqValue(n, Fraction(value)) for n, value in zip(range(lo, hi + 1), _values(params, lo))]
 
 
 def gen_fib(r: RationalLike, s: RationalLike, n: int) -> Fraction:
@@ -132,9 +134,9 @@ def fast_gen_fib(r: RationalLike, s: RationalLike, n: int) -> tuple[Fraction, Fr
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    r = as_fraction(r)
-    s = as_fraction(s)
-    a, b = Fraction(0), Fraction(1)
+    r = narrow(r)
+    s = narrow(s)
+    a, b = 0, 1
     for bit in bin(n)[2:] if n else "":
         c = a * (2 * b - r * a)
         d = b * b + s * a * a
@@ -142,7 +144,7 @@ def fast_gen_fib(r: RationalLike, s: RationalLike, n: int) -> tuple[Fraction, Fr
             a, b = d, r * d + s * c
         else:
             a, b = c, d
-    return a, b
+    return Fraction(a), Fraction(b)
 
 
 def h_windows(r: RationalLike, s: RationalLike, lo: int) -> Iterator[tuple]:
@@ -150,7 +152,8 @@ def h_windows(r: RationalLike, s: RationalLike, lo: int) -> Iterator[tuple]:
 
     Each window is one recurrence step past the last.  Entries below index 0
     come from the backward recurrence, which needs s != 0; with s = 0 they
-    are None.
+    are None.  Entries are exact but not always Fractions: from index 0 on
+    they are ints when r and s are integral.
     """
     values = _values(RecurrenceParams(0, 1, r, s), lo - 3)
     window = (None, *islice(values, 5))  # the first step shifts the None out
@@ -164,27 +167,34 @@ def h_window(r: RationalLike, s: RationalLike, n: int) -> tuple:
     DomainError unless n >= 1: every per-index function takes its window here, so this checks their n."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return next(h_windows(r, s, n))
+    return tuple(None if value is None else Fraction(value) for value in next(h_windows(r, s, n)))
 
 
-def _values(params: RecurrenceParams, start: int) -> Iterator[Fraction | None]:
+def _values(params: RecurrenceParams, start: int) -> Iterator[RationalLike | None]:
     """H(start), H(start+1), ... without end, by the forward recurrence.
 
     For start > 0 the walk begins with fast doubling, through
     H(n) = b*h(n) + a*s*h(n-1) = b*h(n) + a*(h(n+1) - r*h(n)).  Otherwise it
-    first steps back from H(0), H(1) to start by H(k) = (H(k+2) - r*H(k+1))/s;
-    with s = 0 the entries below 0 are None.
+    first steps back from H(0), H(1) to start by H(k) = (H(k+2) - r*H(k+1))/s
+    and walks forward on those Fractions up to index -1; with s = 0 the
+    entries below 0 are None.  From index 0 on, the walk starts again from
+    the narrowed H(0), H(1), as it does from the narrowed doubled pair, so it
+    runs on ints whenever a, b, r and s are integral.
     """
-    a, b, r, s = params.a, params.b, params.r, params.s
+    a, b, r, s = (narrow(value) for value in (params.a, params.b, params.r, params.s))
     prev, cur = a, b
     if start > 0:
-        h, h_next = fast_gen_fib(r, s, start)
+        h, h_next = (narrow(value) for value in fast_gen_fib(r, s, start))
         prev, cur = b * h + a * (h_next - r * h), b * h_next + a * s * h
     elif s == 0:
         yield from [None] * -start
     else:
         for _ in range(-start):
-            prev, cur = (cur - r * prev) / s, prev
+            prev, cur = (cur - r * prev) / params.s, prev
+        for _ in range(-start):
+            yield prev
+            prev, cur = cur, r * cur + s * prev
+        prev, cur = a, b
     while True:
         yield prev
         prev, cur = cur, r * cur + s * prev

@@ -22,6 +22,7 @@ from horadam import (
     reference_power,
     roots,
 )
+from horadam import sequences
 from horadam.derivation import reference_power_from_window
 from horadam.sequences import h_window
 
@@ -312,6 +313,19 @@ class TestPowerForm:
             power_form(1, 1, 1, 0)
         with pytest.raises(ValueError):
             power_form(4, 1, 1, 3)
+
+    @pytest.mark.parametrize("variant,r,s", [(1, 3, 0), (2, 2, 1), (1, 0, 1)], ids=["s=0", "pole", "r=0"])
+    def test_domain_checked_before_the_window(self, monkeypatch, variant, r, s):
+        # A rejected call must not pay for the fast doubling of its window first.
+        def refuse(*args):
+            raise AssertionError(f"fast_gen_fib{args} called before the domain check")
+
+        monkeypatch.setattr(sequences, "fast_gen_fib", refuse)
+        with pytest.raises(DomainError, match="requires"):
+            power_form(variant, r, s, 10 ** 6)
+        # With n < 1 as well, the domain is reported first.
+        with pytest.raises(DomainError, match="requires"):
+            power_form(variant, r, s, 0)
 
 
 class TestClassicSystems:

@@ -2,6 +2,7 @@
 contract of every public function that takes r and s."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -182,6 +183,126 @@ class TestQuadElemProperties:
         alpha, beta = alpha_beta(r, s)
         assert alpha + beta == r
         assert alpha * beta == -s
+
+
+# A Fraction-pair oracle that shares no code with QuadElem: rat + irr*sqrt(disc)
+# held as two Fractions, with the products written out by definition.  It is
+# the arithmetic QuadElem had before it held integers over one denominator.
+
+def oracle_sqrt(value):
+    num, den = isqrt(value.numerator), isqrt(value.denominator)
+    return Fraction(num, den) if num * num == value.numerator and den * den == value.denominator else None
+
+
+class PairQuad:
+    def __init__(self, rat, irr, disc):
+        rat, irr, disc = Fraction(rat), Fraction(irr), Fraction(disc)
+        root = oracle_sqrt(disc)
+        if irr and root is not None:
+            rat, irr = rat + irr * root, Fraction(0)
+        self.rat, self.irr, self.disc = rat, irr, disc
+
+    def embed(self, other):
+        return other if isinstance(other, PairQuad) else PairQuad(other, 0, self.disc)
+
+    def __add__(self, other):
+        other = self.embed(other)
+        return PairQuad(self.rat + other.rat, self.irr + other.irr, self.disc)
+
+    def __sub__(self, other):
+        other = self.embed(other)
+        return PairQuad(self.rat - other.rat, self.irr - other.irr, self.disc)
+
+    def __mul__(self, other):
+        other = self.embed(other)
+        return PairQuad(self.rat * other.rat + self.irr * other.irr * self.disc,
+                        self.rat * other.irr + self.irr * other.rat, self.disc)
+
+    def norm(self):
+        return self.rat * self.rat - self.irr * self.irr * self.disc
+
+    def inverse(self):
+        n = self.norm()
+        return PairQuad(self.rat / n, -self.irr / n, self.disc)
+
+    def __truediv__(self, other):
+        return self * self.embed(other).inverse()
+
+    def __pow__(self, k):
+        base = self if k >= 0 else self.inverse()
+        result = PairQuad(1, 0, self.disc)
+        for _ in range(abs(k)):
+            result = result * base
+        return result
+
+    def text(self):
+        if not self.irr:
+            return str(self.rat)
+        coef = "" if abs(self.irr) == 1 else f"{abs(self.irr)}*"
+        return f"{self.rat} {'+' if self.irr > 0 else '-'} {coef}sqrt({self.disc})"
+
+    def hash(self):
+        return hash(self.rat) if not self.irr else hash((self.rat, self.irr, self.disc))
+
+
+#: Integer and non-integral discriminants, and perfect squares (9, 4/9, 1), which fold.
+oracle_discs = st.sampled_from([2, 5, 8, 13, 17, Fraction(17, 4), Fraction(5, 3), Fraction(2, 9),
+                                Fraction(1, 2), 9, Fraction(4, 9), 1])
+coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+scalars = st.one_of(st.integers(-6, 6), coefficients)
+
+
+def same(quad, pair):
+    """quad has pair's value, in canonical form, with the same text and hash."""
+    assert (quad.rat, quad.irr, quad.disc) == (pair.rat, pair.irr, pair.disc)
+    assert quad == QuadElem(pair.rat, pair.irr, pair.disc)
+    assert str(quad) == pair.text()
+    assert repr(quad) == f"QuadElem({pair.rat}, {pair.irr}, disc={pair.disc})"
+    assert hash(quad) == pair.hash()
+    assert type(quad.rat) is Fraction and type(quad.irr) is Fraction and type(quad.disc) is Fraction
+
+
+class TestAgainstFractionPairOracle:
+    """The integer (P + Q*sqrt(m))/d form against Fraction-pair arithmetic."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(disc=oracle_discs, x=st.tuples(coefficients, coefficients), y=st.tuples(coefficients, coefficients),
+           scalar=scalars, k=st.integers(-5, 6))
+    def test_operations_match(self, disc, x, y, scalar, k):
+        qx, qy = QuadElem(*x, disc), QuadElem(*y, disc)
+        px, py = PairQuad(*x, disc), PairQuad(*y, disc)
+        same(qx, px)
+        same(qx + qy, px + py)
+        same(qx - qy, px - py)
+        same(qx * qy, px * py)
+        same(-qx, px * -1)
+        same(qx + scalar, px + scalar)
+        same(scalar + qx, px + scalar)
+        same(qx - scalar, px - scalar)
+        same(scalar - qx, PairQuad(scalar, 0, disc) - px)
+        same(qx * scalar, px * scalar)
+        same(scalar * qx, px * scalar)
+        assert qx.norm() == px.norm() and type(qx.norm()) is Fraction
+        assert (qx == qy) == ((px.rat, px.irr) == (py.rat, py.irr))
+        assert (qx == scalar) == (not px.irr and px.rat == scalar)
+        assert bool(qx) == bool(px.rat or px.irr)
+        if px.rat or px.irr:
+            same(qx.inverse(), px.inverse())
+            same(qy / qx, py / px)
+            same(qx ** k, px ** k)
+        elif k >= 0:
+            same(qx ** k, px ** k)
+        if scalar:
+            same(qx / scalar, px / scalar)
+        if not px.irr:
+            assert qx.to_fraction() == px.rat
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.tuples(coefficients, coefficients), y=st.tuples(coefficients, coefficients))
+    def test_rational_values_compare_across_discriminants(self, x, y):
+        qx, qy = QuadElem(x[0], 0, 5), QuadElem(y[0], 0, Fraction(17, 4))
+        assert (qx == qy) == (x[0] == y[0])
+        assert QuadElem(*x, 5) != QuadElem(x[0], x[1] or 1, Fraction(5, 4))
 
 
 #: Every public function taking r and s, as (name, arguments before r and s, arguments after).

@@ -1,6 +1,7 @@
 """Sequence evaluation: recurrence, Binet, fast doubling, negative indices."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +11,7 @@ from horadam import (
     DomainError,
     RecurrenceParams,
     binet_eval,
+    companion_power_form,
     fast_gen_fib,
     gen_fib,
     horadam_eval,
@@ -18,6 +20,7 @@ from horadam import (
     roots,
 )
 from horadam import sequences
+from horadam.sequences import h_window
 
 # parameter pairs used throughout; all have D > 0 and s != 0,
 # covering negative s and a perfect-square discriminant (1, 2)
@@ -197,6 +200,19 @@ class TestIntegrality:
         assert value.denominator == 1
 
 
+#: Coefficients for the walk's oracle: integral values, s = +-1 among them, and rational values.
+WALK_INTS = st.integers(-4, 4)
+WALK_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def walk_params(draw):
+    """(a, b, r, s) all integral (s = +-1 among them) or all drawn as Fractions, each given as
+    an int or a Fraction."""
+    values = draw(st.one_of(st.tuples(*[WALK_INTS] * 4), st.tuples(*[WALK_FRACTIONS] * 4)))
+    return [draw(st.sampled_from([v, Fraction(v)])) for v in values]
+
+
 class TestHoradamRange:
     def test_matches_pointwise_eval(self):
         params = RecurrenceParams(3, -2, 1, 4)
@@ -213,20 +229,14 @@ class TestHoradamRange:
         with pytest.raises(DomainError):
             horadam_range(RecurrenceParams(0, 1, 3, 0), -2, 2)
 
-    @given(
-        a=st.fractions(min_value=-5, max_value=5, max_denominator=4),
-        b=st.fractions(min_value=-5, max_value=5, max_denominator=4),
-        r=st.fractions(min_value=-5, max_value=5, max_denominator=4),
-        s=st.fractions(min_value=-5, max_value=5, max_denominator=4),
-        lo=st.integers(-30, 300),
-        width=st.integers(1, 40),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_walk_matches_iteration_from_the_seeds(self, a, b, r, s, lo, width):
-        assume(lo >= 0 or s != 0)
-        params = RecurrenceParams(a, b, r, s)
-        window = horadam_range(params, lo, lo + width - 1)
-        assert window == [(n, horadam_eval(params, n)) for n in range(lo, lo + width)]
+    @given(params=walk_params(), lo=st.integers(-30, 300), width=st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_walk_matches_iteration_from_the_seeds(self, params, lo, width):
+        assume(lo >= 0 or params[3] != 0)
+        seq = RecurrenceParams(*params)
+        window = horadam_range(seq, lo, lo + width - 1)
+        assert window == [(n, horadam_eval(seq, n)) for n in range(lo, lo + width)]
+        assert all(type(item.value) is Fraction for item in window)
 
     def test_far_window_starts_from_one_doubling(self, monkeypatch):
         calls = []
@@ -242,3 +252,59 @@ class TestHoradamRange:
         assert len(calls) == 1
         assert window[2].value == window[1].value + window[0].value
         assert window[0].value == gen_fib(1, 1, 10_001) + gen_fib(1, 1, 9_999)
+
+
+class TestIntegerWalkOracle:
+    """The narrowed walk (ints for integral pairs) against the Fraction iteration of horadam_eval.
+    horadam_range is checked the same way in TestHoradamRange."""
+
+    @given(params=walk_params(), lo=st.one_of(st.integers(-30, 40), st.integers(250, 330)),
+           width=st.integers(1, 12))
+    @settings(max_examples=120, deadline=None)
+    def test_h_windows_match_eval(self, params, lo, width):
+        _, _, r, s = params
+        assume(s != 0)
+        unit = RecurrenceParams(0, 1, r, s)
+        windows = list(islice(sequences.h_windows(r, s, lo), width))
+        for n, window in zip(range(lo, lo + width), windows):
+            assert window == tuple(horadam_eval(unit, k) for k in range(n - 3, n + 3))
+
+    @pytest.mark.parametrize("s", [1, -1, 3, -2])
+    def test_integral_pairs_walk_on_ints(self, s):
+        # From index 0 on, an integral pair walks on ints, also after the backward
+        # step has given Fractions below 0: the windows at n = -4..5 end at h(2)..h(7).
+        *_, last = islice(sequences.h_windows(2, s, -4), 10)
+        assert all(type(v) is int for v in last)
+        assert all(type(v) is int for v in next(sequences.h_windows(2, s, 3)))
+        assert all(type(v) is int for v in next(sequences.h_windows(Fraction(2), Fraction(s), 300)))
+
+
+#: Public functions that return sequence values, each called with the given (r, s).
+PUBLIC_VALUES = {
+    "horadam_range": lambda r, s: [v.value for v in horadam_range(RecurrenceParams(1, 2, r, s), -3, 5)],
+    "fast_gen_fib": lambda r, s: fast_gen_fib(r, s, 9),
+    "fast_gen_fib at 0": lambda r, s: fast_gen_fib(r, s, 0),
+    "gen_fib": lambda r, s: [gen_fib(r, s, n) for n in (-2, 0, 1, 7)],
+    "horadam_eval": lambda r, s: [horadam_eval(RecurrenceParams(1, 2, r, s), n) for n in (-2, 0, 1, 7)],
+    "binet_eval": lambda r, s: [binet_eval(r, s, n) for n in (-2, 0, 1, 7)],
+    "h_window": lambda r, s: h_window(r, s, 1) + h_window(r, s, 40),
+    "Matrix.rows": lambda r, s: [e for row in companion_power_form(r, s, 6).rows for e in row],
+    "QuadElem.rat and irr": lambda r, s: [x for root in roots(r, s) for x in (root.rat, root.irr)],
+}
+
+
+class TestPublicTypes:
+    """Public results are Fractions, never int or float, whatever exact type r and s arrive as."""
+
+    @pytest.mark.parametrize("name", PUBLIC_VALUES)
+    @pytest.mark.parametrize("r,s", [(3, 2), (Fraction(3), Fraction(2)), (3, -1), (Fraction(7, 2), Fraction(-2, 3))],
+                             ids=["ints", "integral-fractions", "s=-1", "rationals"])
+    def test_values_are_fractions(self, name, r, s):
+        values = PUBLIC_VALUES[name](r, s)
+        assert values and all(type(value) is Fraction for value in values), [type(v) for v in values]
+
+    def test_h_windows_yield_exact_values_from_a_negative_start(self):
+        # s = 0 leaves the entries below index 0 as None.
+        for r, s in [(3, 2), (Fraction(7, 2), Fraction(-2, 3)), (1, -1), (3, 0)]:
+            for window in islice(sequences.h_windows(r, s, -6), 20):
+                assert all(value is None or type(value) in (int, Fraction) for value in window)
