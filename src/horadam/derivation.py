@@ -135,9 +135,9 @@ class DerivedSystem:
     validity: str
 
     @functools.cached_property
-    def _complement(self) -> Matrix:
-        """I - E, built once per system rather than at every index of a closed-form walk."""
-        return Matrix.identity(3) - self.projector
+    def _scaled_complement(self) -> Matrix:
+        """s*(I - E), built once per system rather than at every index of a closed-form walk."""
+        return self.s * (Matrix.identity(3) - self.projector)
 
 
 def _check_variant_domain(r: Fraction, pattern: KernelPattern) -> str:
@@ -209,7 +209,7 @@ def closed_power(system: DerivedSystem, n: int) -> Matrix:
 
 def closed_power_from_window(system: DerivedSystem, h: tuple) -> Matrix:
     """h(n)*A + s*h(n-1)*(I - E) for h the window of :func:`h_window` at n."""
-    return h[3] * system.matrix + (system.s * h[2]) * system._complement
+    return Matrix._combination(h[3], system.matrix, h[2], system._scaled_complement)
 
 
 def preset_matrix(variant: int, r: RationalLike, s: RationalLike) -> Matrix:
@@ -218,7 +218,7 @@ def preset_matrix(variant: int, r: RationalLike, s: RationalLike) -> Matrix:
     s = as_fraction(s)
     pattern, pole, preset, _ = _VARIANTS[variant]
     _check_variant_domain(r, pattern)
-    return 1 / (r - pole) * Matrix(preset(r, s))
+    return Matrix._quotient(preset(r, s), r - pole)
 
 
 def power_form(variant: int, r: RationalLike, s: RationalLike, n: int) -> Matrix:
@@ -244,7 +244,7 @@ def power_form_domain(variant: int, r: RationalLike, s: RationalLike) -> tuple[R
 def power_form_from_window(variant: int, r: RationalLike, s: RationalLike, h: tuple) -> Matrix:
     """The entrywise power form for h the window of :func:`h_window` at n."""
     _, pole, _, form = _VARIANTS[variant]
-    return Fraction(1, r - pole) * Matrix(form(r, s, *h))
+    return Matrix._quotient(form(r, s, *h), r - pole)
 
 
 @dataclass(frozen=True)
@@ -267,12 +267,12 @@ _CLASSICS: dict[str, tuple[Matrix, Callable]] = {
                       [-f_nm2, f_nm3, f_nm1],
                       [-f_nm1, f_nm2, f_n],
                   ])),
-    "pell": (Fraction(1, 2) * Matrix([[3, -1, -4], [-1, -1, 0], [0, 1, 2]]),
-             lambda p_nm3, p_nm2, p_nm1, p_n, p_np1, p_np2: Fraction(1, 2) * Matrix([
+    "pell": (Matrix._quotient([[3, -1, -4], [-1, -1, 0], [0, 1, 2]], 2),
+             lambda p_nm3, p_nm2, p_nm1, p_n, p_np1, p_np2: Matrix._quotient([
                  [p_np2 - p_np1, -(p_np1 - p_n), -2 * p_np1],
                  [-(p_n - p_nm1), p_nm1 - p_nm2, 2 * p_nm1],
                  [-(p_np1 - p_n), p_n - p_nm1, p_n],
-             ])),
+             ], 2)),
     "jacobsthal": (Matrix([[2, 1, -1], [-2, -2, 0], [0, 1, 1]]),
                    lambda j_nm3, j_nm2, j_nm1, j_n, j_np1, j_np2: Matrix([
                        [2 * j_n, -(j_np1 - 2 * j_n), -j_np1],

@@ -140,10 +140,6 @@ class QuadElem:
     def disc(self) -> Fraction:
         return self._disc
 
-    @classmethod
-    def one(cls, disc: RationalLike) -> QuadElem:
-        return cls(1, 0, disc)
-
     def __repr__(self) -> str:
         return f"QuadElem({self.rat}, {self.irr}, disc={self._disc})"
 

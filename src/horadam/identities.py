@@ -17,6 +17,9 @@ check costs time linear in n_max, and each check is just its row: first
 index, bases, starting powers and the comparison.  The assembled side of
 each matrix identity is the same ``*_from_window`` core that the public
 functions (``power_form``, ``closed_power``, ...) feed from fast doubling.
+Each check narrows s once (:func:`~horadam.exact.narrow`), and the closed form
+reads s*(I - E) built once per system, so for an integral pair only Binet's
+quotient builds a Fraction at each index.
 The three classic systems are derived once per process.  A check, or
 ``run_suite``, whose index range is empty raises DomainError rather than
 passing vacuously.
@@ -41,13 +44,13 @@ from .derivation import (
     variant_pattern,
 )
 from .errors import DomainError
-from .exact import RationalLike, as_fraction
+from .exact import RationalLike, as_fraction, narrow
 from .matrices import (
     Matrix,
     companion,
     companion_decomposition_from_window,
     companion_power_from_window,
-    is_singular,
+    det_equals,
 )
 from .registry import BUILTIN_ENTRIES
 from .sequences import (
@@ -165,8 +168,8 @@ def _unequal(lhs, rhs, text=str) -> tuple[str, str] | None:
 
 def check_cassini(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """h(n)^2 - h(n-1)*h(n+1) = (-s)^(n-1) for n in [1, n_max]."""
-    s = as_fraction(s)  # before -s, so that a non-rational s gets the package's own TypeError
-    return _streamed("cassini", r, s, 1, n_max, [-s], [Fraction(1)],
+    s = narrow(s)  # before -s, so that a non-rational s gets the package's own TypeError
+    return _streamed("cassini", r, s, 1, n_max, [-s], [1],
                      lambda h, sign_power: _unequal(h[3] * h[3] - h[2] * h[4], sign_power))
 
 
@@ -194,7 +197,7 @@ def check_power_det_zero(variant: int, r: RationalLike, s: RationalLike, n_max: 
     """det(A^n) = 0 for the preset matrices, n in [1, n_max].  No h value is read."""
     base = preset_matrix(variant, r, s)
     return _streamed(f"power_det_zero_{variant}", r, s, 1, n_max, [base], [base],
-                     lambda _, power: None if is_singular(power) else (str(power.det()), "0"), repeat(None))
+                     lambda _, power: None if det_equals(power, 0) else (str(power.det()), "0"), repeat(None))
 
 
 def check_closed_power(variant: int, r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
@@ -231,10 +234,12 @@ def check_projector_algebra(variant: int, r: RationalLike, s: RationalLike) -> I
 def check_companion_power(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """Q^n matches [[h(n+1), s*h(n)], [h(n), s*h(n-1)]] and det(Q^n) = (-s)^n."""
     q = companion(r, s)
+    s = narrow(s)
 
     def differ(h, power, sign_power):
         assembled = companion_power_from_window(s, h)
-        return _unequal(power, assembled, _matrix_text) or _unequal(assembled.det(), sign_power)
+        return (_unequal(power, assembled, _matrix_text)
+                or (None if det_equals(assembled, sign_power) else (str(assembled.det()), str(sign_power))))
 
     return _streamed("companion_power", r, s, 1, n_max, [q, -s], [q, -s], differ)
 
@@ -242,6 +247,7 @@ def check_companion_power(r: RationalLike, s: RationalLike, n_max: int) -> Ident
 def check_companion_decomposition(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """Q^n = h(n)*Q + s*h(n-1)*I for n in [1, n_max]."""
     q = companion(r, s)
+    s = narrow(s)
     return _streamed("companion_decomposition", r, s, 1, n_max, [q], [q],
                      lambda h, power: None if power == companion_decomposition_from_window(q, s, h)
                      else ("Q^n", "h(n)*Q + s*h(n-1)*I"))
@@ -260,6 +266,7 @@ def check_binet(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
 def check_linear_approximation(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     """alpha^n = alpha*h(n) + s*h(n-1) and the beta twin, n in [1, n_max]."""
     alpha, beta = roots(r, s)
+    s = narrow(s)
     return _streamed("linear_approximation", r, s, 1, n_max, [alpha, beta], [alpha, beta],
                      lambda h, alpha_n, beta_n: None
                      if linear_approx_holds(alpha, alpha_n, s, h) and linear_approx_holds(beta, beta_n, s, h)

@@ -3,7 +3,8 @@
 A Matrix is held as an integer matrix N over one positive common
 denominator d, in lowest terms (gcd(d, entries of N) = 1).  That form is
 canonical, so equality compares integers, and sums, products, powers,
-determinants and the inverse run on ints alone.  Entries are given as ints
+determinants and the inverse run on ints alone; a product is written out
+entry by entry for each size.  Entries are given as ints
 or Fractions (anything else is a TypeError) and are read back as Fractions;
 an int entry builds no Fraction.
 The 2x2 size holds the companion matrix, the 3x3 size the matrices with
@@ -15,7 +16,6 @@ inverse, of the basis in :func:`~horadam.derivation.derive`, the adjugate:
 from __future__ import annotations
 
 import functools
-import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -38,24 +38,41 @@ class Matrix:
         if len(data) not in (2, 3) or any(len(row) != len(data) for row in data):
             raise ValueError("matrix must be square 2x2 or 3x3, "
                              f"got row lengths {[len(row) for row in data]}")
-        # The lcm of reduced denominators shares no factor with all the scaled
-        # numerators, so this is already in lowest terms.  (A list, not a
-        # generator, is unpacked: see tests/test_source.py.)
-        den = lcm(*[e.denominator for row in data for e in row])
-        self._num = tuple(tuple(e.numerator * (den // e.denominator) for e in row) for row in data)
-        self._den = den
+        built = Matrix._quotient(data, 1)
+        self._num, self._den = built._num, built._den
 
     @classmethod
     def _reduced(cls, num: IntRows, den: int) -> Matrix:
         """num/den in lowest terms, for den > 0 and num the int rows of a valid size."""
-        g = gcd(den, *[e for row in num for e in row])
+        g = gcd(den, *sum(num, ()))
         if g != 1:
-            num = tuple(tuple(e // g for e in row) for row in num)
+            num = tuple([tuple([e // g for e in row]) for row in num])
             den //= g
         matrix = object.__new__(cls)
         matrix._num = num
         matrix._den = den
         return matrix
+
+    @classmethod
+    def _quotient(cls, rows: Sequence[Sequence[RationalLike]], divisor: RationalLike) -> Matrix:
+        """rows/divisor for square int or Fraction rows of a valid size and a nonzero divisor p/q:
+        the rows over the lcm of their denominators, times q over p with the sign moved up so
+        that d > 0, reduced once.  (A list, not a generator, is unpacked: see tests/test_source.py.)"""
+        den = lcm(*[e.denominator for row in rows for e in row])
+        p, q = divisor.numerator, divisor.denominator
+        if p < 0:
+            p, q = -p, -q
+        return cls._reduced(tuple([tuple([e.numerator * (den // e.denominator) * q for e in row])
+                                   for row in rows]), den * p)
+
+    @classmethod
+    def _combination(cls, x: RationalLike, a: Matrix, y: RationalLike, b: Matrix) -> Matrix:
+        """x*a + y*b for int or Fraction scalars and matrices of one size, reduced once."""
+        cx = x.numerator * y.denominator * b._den
+        cy = y.numerator * x.denominator * a._den
+        return cls._reduced(tuple([tuple([cx * u + cy * v for u, v in zip(ra, rb)])
+                                   for ra, rb in zip(a._num, b._num)]),
+                            x.denominator * y.denominator * a._den * b._den)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -89,28 +106,23 @@ class Matrix:
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other: Matrix) -> Matrix:
-        return self._entrywise(operator.add, other)
+        return self._plus(1, other)
 
     def __sub__(self, other: Matrix) -> Matrix:
-        return self._entrywise(operator.sub, other)
+        return self._plus(-1, other)
 
-    def _entrywise(self, op, other: Matrix) -> Matrix:
+    def _plus(self, sign: int, other: Matrix) -> Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.size != other.size:
             raise ValueError(f"size mismatch: {self.size} vs {other.size}")
-        da, db = self._den, other._den
-        return Matrix._reduced(tuple(tuple(op(x * db, y * da) for x, y in zip(ra, rb))
-                                     for ra, rb in zip(self._num, other._num)), da * db)
+        return Matrix._combination(1, self, sign, other)
 
     def __mul__(self, other: object) -> Matrix:
         if isinstance(other, Matrix):
             if self.size != other.size:
                 raise ValueError(f"size mismatch: {self.size} vs {other.size}")
-            cols = tuple(zip(*other._num))
-            # List comprehensions: this product is the inner step of every power walk.
-            return Matrix._reduced(tuple([tuple([sum(map(operator.mul, row, col)) for col in cols])
-                                          for row in self._num]), self._den * other._den)
+            return Matrix._reduced(_product(self._num, other._num), self._den * other._den)
         if isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator
             return Matrix._reduced(tuple(tuple(e * p for e in row) for row in self._num), self._den * q)
@@ -149,6 +161,19 @@ class Matrix:
         return Matrix._reduced(tuple(tuple(x * scale for x in row) for row in adjugate), abs(det))
 
 
+def _product(x: IntRows, y: IntRows) -> IntRows:
+    """x*y for two integer matrices of one size, written out: the inner step of every power walk."""
+    if len(x) == 2:
+        (a, b), (c, d) = x
+        (e, f), (g, h) = y
+        return (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
+    (a, b, c), (d, e, f), (g, h, i) = x
+    (j, k, l), (m, n, o), (p, q, t) = y
+    return ((a * j + b * m + c * p, a * k + b * n + c * q, a * l + b * o + c * t),
+            (d * j + e * m + f * p, d * k + e * n + f * q, d * l + e * o + f * t),
+            (g * j + h * m + i * p, g * k + h * n + i * q, g * l + h * o + i * t))
+
+
 def _det(r: IntRows) -> int:
     """The determinant of a 2x2 or 3x3 integer matrix, by cofactor expansion."""
     if len(r) == 2:
@@ -158,9 +183,9 @@ def _det(r: IntRows) -> int:
             + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
 
 
-def is_singular(m: Matrix) -> bool:
-    """Whether det m = 0, decided on the integer matrix without building a Fraction."""
-    return _det(m._num) == 0
+def det_equals(m: Matrix, value: RationalLike) -> bool:
+    """Whether det m = value, decided on ints without building a Fraction: det(N/d) = det(N)/d^size."""
+    return _det(m._num) * value.denominator == value.numerator * m._den ** m.size
 
 
 def companion(r: RationalLike, s: RationalLike) -> Matrix:
@@ -189,4 +214,4 @@ def companion_decomposition_check(r: RationalLike, s: RationalLike, n: int) -> b
 
 def companion_decomposition_from_window(q: Matrix, s: RationalLike, h: tuple) -> Matrix:
     """h(n)*Q + s*h(n-1)*I for h the window of :func:`h_window` at n."""
-    return h[3] * q + (s * h[2]) * Matrix.identity(2)
+    return Matrix._combination(h[3], q, s * h[2], Matrix.identity(2))

@@ -42,7 +42,7 @@ class TestQuadElem:
 
     def test_multiplicative_identity(self):
         x = QuadElem(Fraction(3, 7), Fraction(-2, 5), 13)
-        assert QuadElem.one(13) * x == x
+        assert QuadElem(1, 0, 13) * x == x
 
     def test_alpha_squared(self):
         alpha, _ = alpha_beta(1, 1)
@@ -66,7 +66,7 @@ class TestQuadElem:
         assert alpha * alpha.inverse() == 1
 
     def test_inverse_of_one(self):
-        assert QuadElem.one(5).inverse() == 1
+        assert QuadElem(1, 0, 5).inverse() == 1
 
     def test_inverse_of_rational_embed(self):
         assert QuadElem(2, 0, 5).inverse() == Fraction(1, 2)

@@ -3,6 +3,7 @@
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -476,3 +477,49 @@ class TestCostShape:
             assert counts["Matrix.pow"] == 0
         for name in ("gen_fib.steps", "fast_gen_fib.calls"):
             assert large[name] <= 2 * small[name]
+
+
+def _fractions_built(monkeypatch, call) -> int:
+    """How many Fractions ``call()`` constructs, counted at both of Fraction's constructors
+    (from Python 3.12 on, arithmetic results skip ``__new__``)."""
+    built = [0]
+
+    def counted(construct):
+        def wrapper(*args, **kwargs):
+            built[0] += 1
+            return construct(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", staticmethod(counted(Fraction.__new__)))
+        if hasattr(Fraction, "_from_coprime_ints"):
+            patch.setattr(Fraction, "_from_coprime_ints",
+                          classmethod(counted(Fraction.__dict__["_from_coprime_ints"].__func__)))
+        call()
+    return built[0]
+
+
+class TestIntegerSteps:
+    """For an integral pair no per-index step of these checks builds a Fraction, so the
+    count does not grow with n_max.  r and s come in as Fractions, as run_suite passes them."""
+
+    @pytest.mark.parametrize("r, s", [(Fraction(3), Fraction(-2)), (Fraction(6), Fraction(3))])
+    @pytest.mark.parametrize("check", [
+        *(partial(check, v) for check in (check_power_form, check_power_det_zero, check_closed_power)
+          for v in (1, 2, 3)),
+        check_companion_power,
+        check_companion_decomposition,
+        check_linear_approximation,
+        check_cassini,
+    ], ids=[f"{name}_{v}" for name in ("power_form", "power_det_zero", "closed_power") for v in (1, 2, 3)]
+        + ["companion_power", "companion_decomposition", "linear_approximation", "cassini"])
+    def test_fraction_count_does_not_grow_with_n_max(self, monkeypatch, check, r, s):
+        assert check(r, s, 8).status == "pass"  # warms the per-process caches first
+        counts = [_fractions_built(monkeypatch, lambda: check(r, s, n_max)) for n_max in (32, 64)]
+        assert counts[1] == counts[0]
+
+    @pytest.mark.parametrize("name", ["fibonacci", "pell", "jacobsthal"])
+    def test_reference_power(self, monkeypatch, name):
+        check_reference_power(name, 8)
+        counts = [_fractions_built(monkeypatch, lambda: check_reference_power(name, n_max)) for n_max in (32, 64)]
+        assert counts[1] == counts[0]

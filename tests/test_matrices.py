@@ -20,6 +20,7 @@ from horadam import (
     gen_fib,
     matrix_mismatches,
 )
+from horadam.matrices import det_equals
 
 PRESETS = [(1, 1), (2, 1), (1, 2), (6, -1)]
 
@@ -289,6 +290,10 @@ def operands(draw):
     return draw(square(size)), draw(square(size))
 
 
+#: An int or a Fraction: the integral pairs of the power checks run on ints, the rest on Fractions.
+scalars = st.one_of(st.integers(-20, 20), rationals)
+
+
 class TestAgainstFractionOracle:
     """The integer-over-one-denominator kernel against list-of-Fraction arithmetic."""
 
@@ -318,6 +323,34 @@ class TestAgainstFractionOracle:
             inverse = ma.inverse()
             assert inverse.rows == as_rows(oracle_inverse(a))
             assert inverse == Matrix(oracle_inverse(a))
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=operands(), x=scalars, y=scalars, divisor=scalars.filter(bool))
+    def test_internal_builders_match(self, pair, x, y, divisor):
+        # The builders behind the assembled sides of the power checks, on int and Fraction
+        # scalars and rows, divisors of either sign, and both sizes.
+        a, b = pair
+        ma, mb = Matrix(a), Matrix(b)
+        integral = [[u.numerator for u in row] for row in a]
+        expected = [
+            (Matrix._combination(x, ma, y, mb),
+             [[x * u + y * v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]),
+            (Matrix._quotient(a, divisor), [[u / divisor for u in row] for row in a]),
+            (Matrix._quotient(integral, divisor),
+             [[Fraction(u) / divisor for u in row] for row in integral]),
+        ]
+        for result, oracle in expected:
+            assert result.rows == as_rows(oracle)
+            assert result == Matrix(oracle)
+        assert det_equals(ma, oracle_det(a))
+        assert not det_equals(ma, oracle_det(a) + divisor)
+
+    def test_quotient_by_a_negative_divisor_keeps_the_denominator_positive(self):
+        rows = [[2, 4], [6, 8]]
+        for divisor in (-4, Fraction(-8, 3)):
+            quotient = Matrix._quotient(rows, divisor)
+            assert quotient._den > 0
+            assert quotient.rows == as_rows([[Fraction(e) / divisor for e in row] for row in rows])
 
     def test_equal_values_compare_equal(self):
         assert Matrix([[Fraction(2, 4), 1], [0, 1]]) == Matrix([[Fraction(1, 2), 1], [0, 1]])
