@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .derivation import KernelPattern, classic_for, closed_power, derive
 from .errors import HoradamError
-from .exact import unlimited_int_digits
+from .exact import decimal_text, unlimited_int_digits
 from .identities import default_grid, matrix_mismatches, run_suite, FAIL
 from .matrices import companion
 from .registry import (
@@ -123,7 +123,7 @@ def _cmd_seq(args) -> tuple[dict, dict, int]:
     if start > stop:
         raise ValueError(f"empty index range [{start}, {stop}]")
     name, params = _resolve_params(args)
-    values = [{"index": v.index, "value": str(v.value)} for v in horadam_range(params, start, stop)]
+    values = [{"index": v.index, "value": decimal_text(v.value)} for v in horadam_range(params, start, stop)]
     return {
         "name": name,
         "a": str(params.a),

@@ -7,11 +7,17 @@ roots alpha, beta of x^2 - r*x - s and their powers are elements
 ``p + q*sqrt(D)`` of a real quadratic extension, held by :class:`QuadElem`
 as integers over one denominator.  Everything is immutable and every
 operation is exact; nothing here ever rounds.
+
+:func:`decimal_text` writes an int or Fraction as ``str()`` does, but in
+subquadratic time for ints of more than 32,768 bits, whose ``str()`` is
+quadratic in CPython 3.11: it joins the decimal text of the two halves of
+the binary number in stdlib ``decimal``, at a precision that never rounds.
 """
 
 from __future__ import annotations
 
 import contextlib
+import decimal
 import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -54,18 +60,72 @@ def power(base, n: int, one):
     return result
 
 
+def _int_digit_limit() -> int:
+    """CPython's int<->str digit limit, 0 when lifted or absent."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
 @contextlib.contextmanager
 def unlimited_int_digits():
     """Lift CPython's int<->str digit limit inside the block and give the
     caller back its own limit on every exit."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
+    limit = _int_digit_limit()
+    if limit:
         sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
-        if limit is not None:
+        if limit:
             sys.set_int_max_str_digits(limit)
+
+
+#: Ints of up to this many bits (about 9,900 digits) are written by str(),
+#: which is faster below it; above it decimal_text splits.
+_STR_BITS = 32_768
+#: Pieces of up to this many bits become Decimals directly.
+_LEAF_BITS = 4096
+
+
+def decimal_text(value: RationalLike) -> str:
+    """``str(value)`` for an int or Fraction, in subquadratic time for huge ints.
+
+    An int, or a Fraction's term, of more than _STR_BITS bits is split by
+    bits into hi*2^w + lo and the halves are converted recursively and
+    joined in ``decimal``, in a local context that traps Inexact and
+    Rounded, so the text is exact.  While CPython's int->str digit limit is
+    in force, str() writes every value, so the limit raises as for str().
+    """
+    num, den = value.numerator, value.denominator
+    if (num.bit_length() <= _STR_BITS and den.bit_length() <= _STR_BITS) or _int_digit_limit():
+        return str(value)
+    if den != 1:
+        return f"{decimal_text(num)}/{decimal_text(den)}"
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+        text = str(_to_decimal(abs(num), num.bit_length(), {}))
+    return "-" + text if num < 0 else text
+
+
+def _to_decimal(n: int, w: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
+    """n < 2^w as a Decimal; ``powers`` holds the 2^k already built."""
+    if w <= _LEAF_BITS:
+        return decimal.Decimal(n)
+    low_bits = w >> 1
+    hi = n >> low_bits
+    return (_to_decimal(hi, w - low_bits, powers) * _power_of_two(low_bits, powers)
+            + _to_decimal(n - (hi << low_bits), low_bits, powers))
+
+
+def _power_of_two(w: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
+    result = powers.get(w)
+    if result is None:
+        if w <= _LEAF_BITS:
+            result = decimal.Decimal(1 << w)
+        else:
+            result = _power_of_two(w >> 1, powers) * _power_of_two(w - (w >> 1), powers)
+        powers[w] = result
+    return result
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:

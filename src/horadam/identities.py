@@ -17,9 +17,10 @@ check costs time linear in n_max, and each check is just its row: first
 index, bases, starting powers and the comparison.  The assembled side of
 each matrix identity is the same ``*_from_window`` core that the public
 functions (``power_form``, ``closed_power``, ...) feed from fast doubling.
-Each check narrows s once (:func:`~horadam.exact.narrow`), and the closed form
-reads s*(I - E) built once per system, so for an integral pair only Binet's
-quotient builds a Fraction at each index.
+Each check narrows s once (:func:`~horadam.exact.narrow`), the closed form
+reads s*(I - E) built once per system, and Binet compares alpha^n - beta^n
+with (alpha - beta)*h(n), so for an integral pair no check builds a Fraction
+at each index.
 The three classic systems are derived once per process.  A check, or
 ``run_suite``, whose index range is empty raises DomainError rather than
 passing vacuously.
@@ -259,8 +260,11 @@ def check_binet(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
     n_min = _first_index(_BINET_N_MIN, s)
     alpha, beta = roots(r, s)
     gap = alpha - beta
+    # Compared as alpha^n - beta^n = gap*h(n), so a passing index divides nothing;
+    # only a failure's text is the quotient.
     return _streamed("binet_recurrence", r, s, n_min, n_max, [alpha, beta], [alpha ** n_min, beta ** n_min],
-                     lambda h, alpha_n, beta_n: _unequal(binet_from_powers(alpha_n, beta_n, gap), h[3]))
+                     lambda h, alpha_n, beta_n: None if alpha_n - beta_n == gap * h[3]
+                     else (str(binet_from_powers(alpha_n, beta_n, gap)), str(h[3])))
 
 
 def check_linear_approximation(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:

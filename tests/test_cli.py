@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import horadam
 from horadam import gen_fib, registry
 from horadam.cli import _decimal_digits, main
+from horadam.exact import _STR_BITS, unlimited_int_digits
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +146,22 @@ class TestSeq:
         record = run_json(capsys, "seq", "--r", "4", "--s", "3", "--from=-2", "--to=0")
         values = [v["value"] for v in record["results"]["values"]]
         assert values == ["-4/9", "1/3", "0"]
+
+    def test_huge_values_print_as_str(self, capsys):
+        # F(100000) has 20,899 digits, above the size where decimal_text stops calling str().
+        n = 100_000
+        h_n, h_next = 0, 1
+        for _ in range(n):
+            h_n, h_next = h_next, h_n + h_next
+        assert h_n.bit_length() > _STR_BITS
+        with unlimited_int_digits():
+            expected = [str(h_n), str(h_next)]
+        record = run_json(capsys, "seq", "fibonacci", f"{n}..{n + 1}")
+        assert [v["value"] for v in record["results"]["values"]] == expected
+        code, out, _ = run_cli(capsys, "seq", "fibonacci", f"{n}..{n + 1}", "--format", "csv")
+        rows = dict(list(csv.reader(io.StringIO(out)))[1:])
+        assert code == 0
+        assert [rows["results.values.0.value"], rows["results.values.1.value"]] == expected
 
     def test_unknown_name_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "seq", "unknown", "0..3")

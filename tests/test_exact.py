@@ -1,6 +1,9 @@
-"""Rational square roots, arithmetic in Q(sqrt(D)), and the exactness
-contract of every public function that takes r and s."""
+"""Rational square roots, arithmetic in Q(sqrt(D)), decimal text, and the
+exactness contract of every public function that takes r and s."""
 
+import decimal
+import random
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 import horadam
 from horadam import DomainError, QuadElem, rational_sqrt
+from horadam.exact import _LEAF_BITS, _STR_BITS, decimal_text, unlimited_int_digits
 
 
 class TestRationalSqrt:
@@ -306,6 +310,84 @@ class TestAgainstFractionPairOracle:
 
 
 #: Every public function taking r and s, as (name, arguments before r and s, arguments after).
+@pytest.fixture
+def no_digit_limit():
+    """str() of the huge ints below needs CPython's int->str digit limit lifted."""
+    with unlimited_int_digits():
+        yield
+
+
+#: Bit sizes around the leaf size, the str() threshold and a few split depths.
+EDGE_BITS = sorted({k + d for k in (_LEAF_BITS, _STR_BITS, 2 * _STR_BITS, 100_000) for d in (-1, 0, 1)})
+
+
+@pytest.mark.usefixtures("no_digit_limit")
+class TestDecimalText:
+    """decimal_text(x) is str(x), whichever route writes it."""
+
+    @pytest.mark.parametrize("value", [0, 1, -1, Fraction(0), Fraction(-1), Fraction(-3, 2)])
+    def test_small_values(self, value):
+        assert decimal_text(value) == str(value)
+
+    @pytest.mark.parametrize("bits", EDGE_BITS)
+    def test_around_powers_of_two(self, bits):
+        for value in (2 ** bits - 1, 2 ** bits, 2 ** bits + 1):
+            assert decimal_text(value) == str(value)
+            assert decimal_text(-value) == str(-value)
+
+    @pytest.mark.parametrize("k", [1, 9_000, 9_864, 9_865, 20_000, 30_103])
+    def test_powers_of_ten(self, k):
+        # Zeros in every leaf: no exponent form, no "-0" from a zero piece.
+        text = decimal_text(10 ** k)
+        assert text == "1" + "0" * k
+        assert decimal_text(-10 ** k) == "-" + text
+        assert decimal_text(-(10 ** k - 1)) == "-" + "9" * k
+
+    @settings(max_examples=25, deadline=None)
+    @given(bits=st.integers(0, 300_000), seed=st.integers(0, 2 ** 32), negative=st.booleans())
+    def test_signed_ints(self, bits, seed, negative):
+        value = random.Random(seed).getrandbits(bits)
+        value = -value if negative else value
+        assert decimal_text(value) == str(value)
+
+    @settings(max_examples=10, deadline=None)
+    @given(bits=st.integers(_STR_BITS + 1, 80_000), seed=st.integers(0, 2 ** 32), negative=st.booleans())
+    def test_fractions_with_huge_terms(self, bits, seed, negative):
+        # The shape of a rational pair's h(n) at a large index: both terms above the threshold.
+        rng = random.Random(seed)
+        numerator = rng.getrandbits(bits) | 1 << bits
+        value = Fraction(-numerator if negative else numerator, rng.getrandbits(bits) | 1 << bits | 1)
+        assert value.numerator.bit_length() > _STR_BITS and value.denominator.bit_length() > _STR_BITS
+        assert decimal_text(value) == str(value)
+
+    def test_caller_context_untouched(self):
+        value = 3 ** 40_000  # 63,399 bits
+        with decimal.localcontext() as caller:
+            caller.prec = 5
+            caller.traps[decimal.Inexact] = True
+            before = (caller.prec, caller.Emax, caller.Emin, dict(caller.traps), dict(caller.flags))
+            text = decimal_text(value)
+            assert decimal.getcontext() is caller
+            assert (caller.prec, caller.Emax, caller.Emin, dict(caller.traps), dict(caller.flags)) == before
+        assert text == str(value)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int->str digit limit here")
+def test_decimal_text_keeps_the_digit_limit():
+    """Under CPython's int->str digit limit, a huge int raises as str() does."""
+    value = 7 ** 20_000  # 56,148 bits, 16,902 digits
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            str(value)
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            decimal_text(value)
+        assert decimal_text(7 ** 5000) == str(7 ** 5000)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 RS_FUNCTIONS = [
     *[(f"check_{c}", (), (6,)) for c in ("cassini", "cubic", "companion_power", "companion_decomposition",
                                          "binet", "linear_approximation")],

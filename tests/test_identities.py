@@ -374,6 +374,22 @@ class TestFailurePath:
         assert report.first_failure == FirstFailure(
             K, "alpha^n, beta^n", "alpha*h(n)+s*h(n-1), beta*h(n)+s*h(n-1)")
 
+    @pytest.mark.parametrize("r, s", [(3, -2), (Fraction(7, 2), Fraction(-2, 3))])
+    def test_binet(self, monkeypatch, r, s):
+        # The walk's h(K) is off by one: the comparison fails on its own, and the
+        # failure's text is the quotient (alpha^K - beta^K)/(alpha - beta), as before.
+        walk = identities.h_windows
+
+        def corrupted(r, s, lo):
+            for n, h in enumerate(walk(r, s, lo), start=lo):
+                yield h[:3] + (h[3] + 1,) + h[4:] if n == K else h
+
+        monkeypatch.setattr(identities, "h_windows", corrupted)
+        report = check_binet(r, s, 12)
+        h_k = gen_fib(r, s, K)
+        assert report.status == "fail"
+        assert report.first_failure == FirstFailure(K, str(h_k), str(h_k + 1))
+
     def test_projector_algebra_scalar_sides(self, monkeypatch):
         # det A and trace A are compared as scalars but printed bracketed, like the matrix facts.
         monkeypatch.setattr(Matrix, "trace", lambda self: Fraction(7, 2))
@@ -511,8 +527,9 @@ class TestIntegerSteps:
         check_companion_decomposition,
         check_linear_approximation,
         check_cassini,
+        check_binet,
     ], ids=[f"{name}_{v}" for name in ("power_form", "power_det_zero", "closed_power") for v in (1, 2, 3)]
-        + ["companion_power", "companion_decomposition", "linear_approximation", "cassini"])
+        + ["companion_power", "companion_decomposition", "linear_approximation", "cassini", "binet"])
     def test_fraction_count_does_not_grow_with_n_max(self, monkeypatch, check, r, s):
         assert check(r, s, 8).status == "pass"  # warms the per-process caches first
         counts = [_fractions_built(monkeypatch, lambda: check(r, s, n_max)) for n_max in (32, 64)]
