@@ -77,8 +77,8 @@ _VARIANTS: dict[int, tuple[KernelPattern, int, Callable, Callable]] = _VariantRo
     1: (KernelPattern.from_string("+-+"), 0,
         lambda r, s: [
             [r * (r - 1) + s, s - r, -r * r],
-            [-s, -s, Fraction(0)],
-            [1 - r, Fraction(1), r],
+            [-s, -s, 0],
+            [1 - r, 1, r],
         ],
         lambda r, s, h_nm3, h_nm2, h_nm1, h_n, h_np1, h_np2: [
             [h_np2 - h_np1, -(h_np1 - s * h_n), -r * h_np1],
@@ -89,7 +89,7 @@ _VARIANTS: dict[int, tuple[KernelPattern, int, Callable, Callable]] = _VariantRo
         lambda r, s: [
             [r * (r - 1) + s, r + s, r * r + 2 * s],
             [-s, -s, -2 * s],
-            [1 - r, Fraction(-1), -r],
+            [1 - r, -1, -r],
         ],
         lambda r, s, h_nm3, h_nm2, h_nm1, h_n, h_np1, h_np2: [
             [h_np2 - h_np1, h_np1 + s * h_n, h_np2 + s * h_n],
@@ -99,8 +99,8 @@ _VARIANTS: dict[int, tuple[KernelPattern, int, Callable, Callable]] = _VariantRo
     3: (KernelPattern.from_string("-++"), 0,
         lambda r, s: [
             [r * (r + 1) + s, r + s, r * r],
-            [-s, -s, Fraction(0)],
-            [-(r + 1), Fraction(-1), -r],
+            [-s, -s, 0],
+            [-(r + 1), -1, -r],
         ],
         lambda r, s, h_nm3, h_nm2, h_nm1, h_n, h_np1, h_np2: [
             [h_np2 + h_np1, h_np1 + s * h_n, r * h_np1],
@@ -262,11 +262,11 @@ class ClassicSystem:
 #: written in the named sequence itself (F, P or J).
 _CLASSICS: dict[str, tuple[Matrix, Callable]] = {
     "fibonacci": (Matrix([[1, 0, -1], [-1, -1, 0], [0, 1, 1]]),
-                  lambda f_nm3, f_nm2, f_nm1, f_n, f_np1, f_np2: Matrix([
+                  lambda f_nm3, f_nm2, f_nm1, f_n, f_np1, f_np2: Matrix._quotient([
                       [f_n, -f_nm1, -f_np1],
                       [-f_nm2, f_nm3, f_nm1],
                       [-f_nm1, f_nm2, f_n],
-                  ])),
+                  ], 1)),
     "pell": (Matrix._quotient([[3, -1, -4], [-1, -1, 0], [0, 1, 2]], 2),
              lambda p_nm3, p_nm2, p_nm1, p_n, p_np1, p_np2: Matrix._quotient([
                  [p_np2 - p_np1, -(p_np1 - p_n), -2 * p_np1],
@@ -274,11 +274,11 @@ _CLASSICS: dict[str, tuple[Matrix, Callable]] = {
                  [-(p_np1 - p_n), p_n - p_nm1, p_n],
              ], 2)),
     "jacobsthal": (Matrix([[2, 1, -1], [-2, -2, 0], [0, 1, 1]]),
-                   lambda j_nm3, j_nm2, j_nm1, j_n, j_np1, j_np2: Matrix([
+                   lambda j_nm3, j_nm2, j_nm1, j_n, j_np1, j_np2: Matrix._quotient([
                        [2 * j_n, -(j_np1 - 2 * j_n), -j_np1],
                        [-4 * j_nm2, 2 * (j_nm1 - 2 * j_nm2), 2 * j_nm1],
                        [-2 * j_nm1, j_n - 2 * j_nm1, j_n],
-                   ])),
+                   ], 1)),
 }
 
 

@@ -153,7 +153,8 @@ class QuadElem:
     folds the irrational part into ``rat``; arithmetic keeps Q = 0 there.
 
     Arithmetic only combines elements sharing the same ``disc``; plain ints
-    and Fractions are accepted on either side and embedded on the fly.
+    and Fractions are accepted on either side and embedded on the fly, and
+    any other operand is :func:`narrow`'s TypeError.
     """
 
     __slots__ = ("_p", "_q", "_d", "_m", "_disc")
@@ -223,17 +224,16 @@ class QuadElem:
     def _same_field(self, other: QuadElem) -> bool:
         return other._disc is self._disc or other._disc == self._disc
 
-    def _parts(self, other: object) -> tuple[int, int, int] | None:
-        """(P, Q, d) of ``other`` in self's field, or None for a type that does not embed."""
+    def _parts(self, other: object) -> tuple[int, int, int]:
+        """(P, Q, d) of ``other`` in self's field; a non-rational is narrow's TypeError."""
         if isinstance(other, QuadElem):
             if not self._same_field(other):
                 raise ValueError(
                     f"mismatched discriminants: {self._disc} vs {other._disc}"
                 )
             return other._p, other._q, other._d
-        if isinstance(other, (int, Fraction)):
-            return other.numerator, 0, other.denominator
-        return None
+        other = narrow(other)
+        return other.numerator, 0, other.denominator
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadElem):
@@ -246,45 +246,30 @@ class QuadElem:
         return NotImplemented
 
     def __add__(self, other: object) -> QuadElem:
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        p, q, d = parts
+        p, q, d = self._parts(other)
         return self._with(self._p * d + p * self._d, self._q * d + q * self._d, self._d * d)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> QuadElem:
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        p, q, d = parts
+        p, q, d = self._parts(other)
         return self._with(self._p * d - p * self._d, self._q * d - q * self._d, self._d * d)
 
     def __rsub__(self, other: object) -> QuadElem:
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        p, q, d = parts
+        p, q, d = self._parts(other)
         return self._with(p * self._d - self._p * d, q * self._d - self._q * d, self._d * d)
 
     def __neg__(self) -> QuadElem:
         return self._with(-self._p, -self._q, self._d)
 
     def __mul__(self, other: object) -> QuadElem:
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        p, q, d = parts
+        p, q, d = self._parts(other)
         return self._with(self._p * p + self._q * q * self._m, self._p * q + self._q * p, self._d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> QuadElem:
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        return self * self._with(*parts).inverse()
+        return self * self._with(*self._parts(other)).inverse()
 
     def __pow__(self, exponent: int) -> QuadElem:
         if not isinstance(exponent, int):

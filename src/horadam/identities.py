@@ -116,10 +116,6 @@ def _report(identity, r, s, lo, hi, failure=None) -> IdentityReport:
     return IdentityReport(identity, as_fraction(r), as_fraction(s), lo, hi, status, failure)
 
 
-def _matrix_text(m: Matrix) -> str:
-    return "[" + "; ".join(" ".join(str(e) for e in row) for row in m.rows) + "]"
-
-
 def matrix_mismatches(left: Matrix, right: Matrix) -> list[tuple[int, int, str, str]]:
     """(row, col, left, right) for every entry where the matrices differ."""
     if left.size != right.size:
@@ -163,8 +159,8 @@ def _streamed(name, r, s, lo, n_max, bases, powers, differ, windows=None) -> Ide
     return _report(name, r, s, lo, n_max, failure)
 
 
-def _unequal(lhs, rhs, text=str) -> tuple[str, str] | None:
-    return None if lhs == rhs else (text(lhs), text(rhs))
+def _unequal(lhs, rhs) -> tuple[str, str] | None:
+    return None if lhs == rhs else (str(lhs), str(rhs))
 
 
 def check_cassini(r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
@@ -191,7 +187,7 @@ def check_power_form(variant: int, r: RationalLike, s: RationalLike, n_max: int)
     base = preset_matrix(variant, r, s)
     r, s = power_form_domain(variant, r, s)
     return _streamed(f"power_form_{variant}", r, s, 1, n_max, [base], [base],
-                     lambda h, power: _unequal(power, power_form_from_window(variant, r, s, h), _matrix_text))
+                     lambda h, power: _unequal(power, power_form_from_window(variant, r, s, h)))
 
 
 def check_power_det_zero(variant: int, r: RationalLike, s: RationalLike, n_max: int) -> IdentityReport:
@@ -207,7 +203,7 @@ def check_closed_power(variant: int, r: RationalLike, s: RationalLike, n_max: in
     system = derive(r, s, variant_pattern(variant))
     a = system.matrix
     return _streamed(f"closed_power_{variant}", r, s, 1, n_max, [a], [a],
-                     lambda h, power: _unequal(power, closed_power_from_window(system, h), _matrix_text))
+                     lambda h, power: _unequal(power, closed_power_from_window(system, h)))
 
 
 def check_projector_algebra(variant: int, r: RationalLike, s: RationalLike) -> IdentityReport:
@@ -227,7 +223,7 @@ def check_projector_algebra(variant: int, r: RationalLike, s: RationalLike) -> I
     for index, lhs, rhs in facts:
         if lhs != rhs:
             # A scalar side is bracketed like a matrix: "[x]".
-            text = _matrix_text if isinstance(lhs, Matrix) else "[{}]".format
+            text = str if isinstance(lhs, Matrix) else "[{}]".format
             return _report(name, r, s, 1, 3, FirstFailure(index, text(lhs), text(rhs)))
     return _report(name, r, s, 1, 3)
 
@@ -239,7 +235,7 @@ def check_companion_power(r: RationalLike, s: RationalLike, n_max: int) -> Ident
 
     def differ(h, power, sign_power):
         assembled = companion_power_from_window(s, h)
-        return (_unequal(power, assembled, _matrix_text)
+        return (_unequal(power, assembled)
                 or (None if det_equals(assembled, sign_power) else (str(assembled.det()), str(sign_power))))
 
     return _streamed("companion_power", r, s, 1, n_max, [q, -s], [q, -s], differ)

@@ -90,9 +90,12 @@ class Matrix:
         """The n x n identity, built once per size: matrices are immutable."""
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
+    def __str__(self) -> str:
+        """The rows as report text: ``[a b; c d]``."""
+        return "[" + "; ".join(" ".join(str(e) for e in row) for row in self.rows) + "]"
+
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)
-        return f"Matrix[{body}]"
+        return f"Matrix{self}"
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
@@ -123,10 +126,9 @@ class Matrix:
             if self.size != other.size:
                 raise ValueError(f"size mismatch: {self.size} vs {other.size}")
             return Matrix._reduced(_product(self._num, other._num), self._den * other._den)
-        if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            return Matrix._reduced(tuple(tuple(e * p for e in row) for row in self._num), self._den * q)
-        return NotImplemented
+        other = narrow(other)  # a non-rational scalar is narrow's TypeError
+        p, q = other.numerator, other.denominator
+        return Matrix._reduced(tuple(tuple(e * p for e in row) for row in self._num), self._den * q)
 
     # Scalars commute with the entries; a Matrix on the left never reaches here.
     __rmul__ = __mul__
@@ -190,7 +192,7 @@ def det_equals(m: Matrix, value: RationalLike) -> bool:
 
 def companion(r: RationalLike, s: RationalLike) -> Matrix:
     """The 2x2 companion matrix [[r, s], [1, 0]] of the recurrence."""
-    return Matrix([[r, s], [Fraction(1), Fraction(0)]])
+    return Matrix([[r, s], [1, 0]])
 
 
 def companion_power_form(r: RationalLike, s: RationalLike, n: int) -> Matrix:
@@ -202,7 +204,7 @@ def companion_power_form(r: RationalLike, s: RationalLike, n: int) -> Matrix:
 
 def companion_power_from_window(s: RationalLike, h: tuple) -> Matrix:
     """[[h(n+1), s*h(n)], [h(n), s*h(n-1)]] for h the window of :func:`h_window` at n."""
-    return Matrix([[h[4], s * h[3]], [h[3], s * h[2]]])
+    return Matrix._quotient([[h[4], s * h[3]], [h[3], s * h[2]]], 1)
 
 
 def companion_decomposition_check(r: RationalLike, s: RationalLike, n: int) -> bool:

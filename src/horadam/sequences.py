@@ -75,7 +75,7 @@ def horadam_range(params: RecurrenceParams, lo: int, hi: int) -> list[SeqValue]:
 
 def gen_fib(r: RationalLike, s: RationalLike, n: int) -> Fraction:
     """h(n), the unit-seeded sequence; h(-1) = 1/s."""
-    return horadam_eval(RecurrenceParams(Fraction(0), Fraction(1), r, s), n)
+    return horadam_eval(RecurrenceParams(0, 1, r, s), n)
 
 
 def roots(r: RationalLike, s: RationalLike) -> tuple[QuadElem, QuadElem]:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import horadam
-from horadam import DomainError, QuadElem, rational_sqrt
+from horadam import DomainError, Matrix, QuadElem, rational_sqrt
 from horadam.exact import _LEAF_BITS, _STR_BITS, decimal_text, unlimited_int_digits
 
 
@@ -427,3 +427,30 @@ class TestExactnessContract:
         with pytest.raises(TypeError) as info:
             self.call(name, before, after, r, s)
         assert str(info.value) == f"expected an exact rational, got {kind}"
+
+
+_Q = QuadElem(1, 1, 5)
+
+
+class TestOperandContract:
+    """Arithmetic operators take the same operands as the functions: an exact rational, or
+    an element of the operator's own type; anything else is the package's own TypeError."""
+
+    @pytest.mark.parametrize("operation,kind", [
+        (lambda: _Q + 0.5, "float"),
+        (lambda: 0.5 - _Q, "float"),
+        (lambda: _Q * "2", "str"),
+        (lambda: _Q / 0.5, "float"),
+        (lambda: Matrix.identity(3) * 0.5, "float"),
+        (lambda: Matrix.identity(3) * _Q, "QuadElem"),
+        (lambda: _Q * Matrix.identity(3), "Matrix"),
+    ], ids=["quad-add-float", "float-sub-quad", "quad-mul-str", "quad-div-float",
+            "matrix-mul-float", "matrix-mul-quad", "quad-mul-matrix"])
+    def test_non_rationals_rejected(self, operation, kind):
+        with pytest.raises(TypeError) as info:
+            operation()
+        assert str(info.value) == f"expected an exact rational, got {kind}"
+
+    def test_equality_with_a_float_is_false(self):
+        assert (_Q == 0.5) is False
+        assert (QuadElem(Fraction(1, 2), 0, 5) == 0.5) is False

@@ -327,7 +327,7 @@ class TestFailurePath:
         assembled = _corrupted(power_form(1, 3, 2, K))
         assert report.status == "fail"
         assert report.first_failure == FirstFailure(
-            K, identities._matrix_text(power), identities._matrix_text(assembled))
+            K, str(power), str(assembled))
         assert report.first_failure.lhs.startswith("[") and "; " in report.first_failure.lhs
 
     def test_closed_power(self, monkeypatch):
@@ -337,7 +337,7 @@ class TestFailurePath:
         assembled = _corrupted(closed_power(system, K))
         assert report.status == "fail"
         assert report.first_failure == FirstFailure(
-            K, identities._matrix_text(system.matrix ** K), identities._matrix_text(assembled))
+            K, str(system.matrix ** K), str(assembled))
 
     def test_companion_power(self, monkeypatch):
         _corrupt_call(monkeypatch, "companion_power_from_window", K)
@@ -346,7 +346,7 @@ class TestFailurePath:
         assembled = _corrupted(companion_power_form(Fraction(7, 2), Fraction(-2, 3), K))
         assert report.status == "fail"
         assert report.first_failure == FirstFailure(
-            K, identities._matrix_text(power), identities._matrix_text(assembled))
+            K, str(power), str(assembled))
 
     def test_companion_decomposition(self, monkeypatch):
         _corrupt_call(monkeypatch, "companion_decomposition_from_window", K)
@@ -515,6 +515,21 @@ def _fractions_built(monkeypatch, call) -> int:
     return built[0]
 
 
+def _matrices_validated(monkeypatch, call) -> int:
+    """How many times ``call()`` runs the validating ``Matrix`` constructor."""
+    built = [0]
+    init = Matrix.__init__
+
+    def counted(self, rows):
+        built[0] += 1
+        init(self, rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "__init__", counted)
+        call()
+    return built[0]
+
+
 class TestIntegerSteps:
     """For an integral pair no per-index step of these checks builds a Fraction, so the
     count does not grow with n_max.  r and s come in as Fractions, as run_suite passes them."""
@@ -539,4 +554,19 @@ class TestIntegerSteps:
     def test_reference_power(self, monkeypatch, name):
         check_reference_power(name, 8)
         counts = [_fractions_built(monkeypatch, lambda: check_reference_power(name, n_max)) for n_max in (32, 64)]
+        assert counts[1] == counts[0]
+
+    @pytest.mark.parametrize("check", [
+        *(partial(check, v, 3, -2) for check in (check_power_form, check_closed_power) for v in (1, 2, 3)),
+        partial(check_companion_power, 3, -2),
+        partial(check_companion_decomposition, 3, -2),
+        *(partial(check_reference_power, name) for name in ("fibonacci", "pell", "jacobsthal")),
+    ], ids=[f"{name}_{v}" for name in ("power_form", "closed_power") for v in (1, 2, 3)]
+        + ["companion_power", "companion_decomposition"]
+        + [f"reference_power_{name}" for name in ("fibonacci", "pell", "jacobsthal")])
+    def test_no_matrix_validated_per_index(self, monkeypatch, check):
+        """The window cores and the tabulated power forms build their matrices without the
+        validating constructor, so its call count does not grow with n_max."""
+        check(8)
+        counts = [_matrices_validated(monkeypatch, lambda: check(n_max)) for n_max in (32, 64)]
         assert counts[1] == counts[0]
