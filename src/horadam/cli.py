@@ -30,7 +30,7 @@ from collections import Counter
 
 from .derivation import KernelPattern, classic_for, closed_power, derive
 from .errors import HoradamError
-from .exact import decimal_text, unlimited_int_digits
+from .exact import decimal_text, decimal_walk, narrow, unlimited_int_digits
 from .identities import default_grid, matrix_mismatches, run_suite, FAIL
 from .matrices import companion
 from .registry import (
@@ -84,13 +84,35 @@ def _csv_cell(value) -> str:
 
 
 def _emit(record: dict, fmt: str) -> None:
-    if fmt == "csv":
+    if record["command"] == "seq":
+        _emit_seq(record["params"], record["results"]["values"], fmt)
+    elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["key", "value"])
         for key, value in _flatten(record):
             writer.writerow([key, _csv_cell(value)])
     else:
         print(json.dumps(record, indent=2))
+
+
+def _emit_seq(params: dict, values, fmt: str) -> None:
+    """The seq record, byte for byte as _emit writes the others, streamed: the head, then one
+    fixed row per (index, text) pair of ``values`` ({0} its place, {1} its index, {2} its
+    text, {3} the comma after the row before), then the tail.  It calls no indented
+    json.dumps, whose pure-Python encoder leaves a reference cycle behind."""
+    write = sys.stdout.write
+    if fmt == "csv":
+        csv.writer(sys.stdout).writerows([("key", "value"), ("command", "seq"),
+                                          *[(f"params.{k}", _csv_cell(v)) for k, v in params.items()]])
+        row, tail = "results.values.{0}.index,{1}\r\nresults.values.{0}.value,{2}\r\n", ""
+    else:
+        fields = ",\n".join(f"    {json.dumps(key)}: {json.dumps(value)}" for key, value in params.items())
+        write('{\n  "command": "seq",\n  "params": {\n' + fields + '\n  },\n  "results": {\n    "values": [')
+        row = '{3}\n      {{\n        "index": {1},\n        "value": "{2}"\n      }}'
+        tail = "\n    ]\n  }\n}\n"
+    for place, (index, text) in enumerate(values):
+        write(row.format(place, index, text, "," if place else ""))
+    write(tail)
 
 
 def _resolve_params(args) -> tuple[str | None, RecurrenceParams]:
@@ -126,7 +148,8 @@ def _cmd_seq(args) -> tuple[dict, dict, int]:
     if start is None or stop is None:
         raise ValueError("an index range is required: FROM..TO or --from/--to")
     name, params = _resolve_params(args)
-    values = [{"index": v.index, "value": decimal_text(v.value)} for v in horadam_range(params, start, stop)]
+    if start > stop:
+        raise ValueError(f"empty index range [{start}, {stop}]")
     return {
         "name": name,
         "a": str(params.a),
@@ -135,7 +158,18 @@ def _cmd_seq(args) -> tuple[dict, dict, int]:
         "s": str(params.s),
         "from": start,
         "to": stop,
-    }, {"values": values}, 0
+    }, {"values": zip(range(start, stop + 1), _seq_texts(params, start, stop))}, 0
+
+
+def _seq_texts(params: RecurrenceParams, start: int, stop: int):
+    """The text of H(start), H(start+1), ..., at least up to H(stop): one walk in decimal when
+    r, s, H(start) and H(start+1) are integral, else decimal_text of each value."""
+    first, second = (narrow(v.value) for v in horadam_range(params, start, start + 1))
+    r, s = narrow(params.r), narrow(params.s)
+    if all(type(x) is int for x in (r, s, first, second)):
+        return decimal_walk(r, s, first, second)
+    rest = horadam_range(RecurrenceParams(first, second, r, s), 0, stop - start)
+    return (decimal_text(v.value) for v in rest)
 
 
 def _cmd_derive(args) -> tuple[dict, dict, int]:

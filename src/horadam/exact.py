@@ -12,6 +12,8 @@ operation is exact; nothing here ever rounds.
 subquadratic time for ints of more than 32,768 bits, whose ``str()`` is
 quadratic in CPython 3.11: it joins the decimal text of the two halves of
 the binary number in stdlib ``decimal``, at a precision that never rounds.
+:func:`decimal_walk` writes a run of integral recurrence values the same
+way, stepping the recurrence itself in ``decimal``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import decimal
 import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from typing import Iterator
 
 from .errors import DomainError
 
@@ -84,37 +87,56 @@ def unlimited_int_digits():
 _STR_BITS = 32_768
 #: Pieces of up to this many bits become Decimals directly.
 _LEAF_BITS = 4096
+#: Decimal arithmetic that raises instead of rounding.  Only its own methods
+#: are called, so the caller's current decimal context is never read or set.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.Inexact, decimal.Rounded])
+_ZERO = decimal.Decimal(0)
 
 
 def decimal_text(value: RationalLike) -> str:
     """``str(value)`` for an int or Fraction, in subquadratic time for huge ints.
 
-    An int, or a Fraction's term, of more than _STR_BITS bits is split by
-    bits into hi*2^w + lo and the halves are converted recursively and
-    joined in ``decimal``, in a local context that traps Inexact and
-    Rounded, so the text is exact.  While CPython's int->str digit limit is
-    in force, str() writes every value, so the limit raises as for str().
+    An int, or a Fraction's term, of more than _STR_BITS bits is converted
+    by :func:`_decimal`, which is exact.  While CPython's int->str digit
+    limit is in force, str() writes every value, so the limit raises as for
+    str().
     """
     num, den = value.numerator, value.denominator
     if (num.bit_length() <= _STR_BITS and den.bit_length() <= _STR_BITS) or _int_digit_limit():
         return str(value)
     if den != 1:
         return f"{decimal_text(num)}/{decimal_text(den)}"
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
-        text = str(_to_decimal(abs(num), num.bit_length(), {}))
-    return "-" + text if num < 0 else text
+    return str(_decimal(num))
+
+
+def decimal_walk(r: int, s: int, prev: int, cur: int) -> Iterator[str]:
+    """str() of the ints prev, cur, r*cur + s*prev, ... without end, in time linear in
+    each value's digits: the walk runs exactly in ``decimal``, whose str() is linear.
+    CPython's int->str digit limit does not apply."""
+    mul, add = _EXACT.multiply, _EXACT.add
+    r, s, prev, cur = map(_decimal, (r, s, prev, cur))
+    yield str(prev)
+    while True:
+        yield str(cur)
+        # A sum of two zero products keeps their minus sign; "or" drops it.
+        prev, cur = cur, add(mul(r, cur), mul(s, prev)) or _ZERO
+
+
+def _decimal(n: int) -> decimal.Decimal:
+    result = _to_decimal(abs(n), n.bit_length(), {})
+    return result.copy_negate() if n < 0 else result
 
 
 def _to_decimal(n: int, w: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
-    """n < 2^w as a Decimal; ``powers`` holds the 2^k already built."""
+    """n < 2^w as a Decimal, in subquadratic time: split by bits into hi*2^(w/2) + lo, the
+    halves converted recursively and joined exactly; ``powers`` holds the 2^k already built."""
     if w <= _LEAF_BITS:
         return decimal.Decimal(n)
     low_bits = w >> 1
     hi = n >> low_bits
-    return (_to_decimal(hi, w - low_bits, powers) * _power_of_two(low_bits, powers)
-            + _to_decimal(n - (hi << low_bits), low_bits, powers))
+    return _EXACT.add(_EXACT.multiply(_to_decimal(hi, w - low_bits, powers), _power_of_two(low_bits, powers)),
+                      _to_decimal(n - (hi << low_bits), low_bits, powers))
 
 
 def _power_of_two(w: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
@@ -123,7 +145,7 @@ def _power_of_two(w: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal
         if w <= _LEAF_BITS:
             result = decimal.Decimal(1 << w)
         else:
-            result = _power_of_two(w >> 1, powers) * _power_of_two(w - (w >> 1), powers)
+            result = _EXACT.multiply(_power_of_two(w >> 1, powers), _power_of_two(w - (w >> 1), powers))
         powers[w] = result
     return result
 

@@ -153,7 +153,7 @@ def h_windows(r: RationalLike, s: RationalLike, lo: int) -> Iterator[tuple]:
     Each window is one recurrence step past the last.  Entries below index 0
     come from the backward recurrence, which needs s != 0; with s = 0 they
     are None.  Entries are exact but not always Fractions: from index 0 on
-    they are ints when r and s are integral.
+    they are ints when r and s are integral, and below 0 too when s = +-1.
     """
     values = _values(RecurrenceParams(0, 1, r, s), lo - 3)
     window = (None, *islice(values, 5))  # the first step shifts the None out
@@ -175,11 +175,11 @@ def _values(params: RecurrenceParams, start: int) -> Iterator[RationalLike | Non
 
     For start > 0 the walk begins with fast doubling, through
     H(n) = b*h(n) + a*s*h(n-1) = b*h(n) + a*(h(n+1) - r*h(n)).  Otherwise it
-    first steps back from H(0), H(1) to start by H(k) = (H(k+2) - r*H(k+1))/s
-    and walks forward on those Fractions up to index -1; with s = 0 the
-    entries below 0 are None.  From index 0 on, the walk starts again from
-    the narrowed H(0), H(1), as it does from the narrowed doubled pair, so it
-    runs on ints whenever a, b, r and s are integral.
+    first steps back from H(0), H(1) to start by H(k) = (H(k+2) - r*H(k+1))
+    times the narrowed 1/s and walks forward up to index -1; with s = 0 the
+    entries below 0 are None.  From index 0 on, the walk starts again from the
+    narrowed H(0), H(1), as from the narrowed doubled pair, so it runs on ints
+    whenever a, b, r and s are integral, and below 0 too when s = +-1.
     """
     a, b, r, s = (narrow(value) for value in (params.a, params.b, params.r, params.s))
     prev, cur = a, b
@@ -189,12 +189,14 @@ def _values(params: RecurrenceParams, start: int) -> Iterator[RationalLike | Non
     elif s == 0:
         yield from [None] * -start
     else:
+        inv_s = narrow(1 / params.s)
         for _ in range(-start):
-            prev, cur = (cur - r * prev) / params.s, prev
+            prev, cur = (cur - r * prev) * inv_s, prev
         for _ in range(-start):
             yield prev
             prev, cur = cur, r * cur + s * prev
         prev, cur = a, b
-    while True:
-        yield prev
+    yield prev
+    while True:  # a step only once its value is asked for
+        yield cur
         prev, cur = cur, r * cur + s * prev

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import decimal
 import gc
 import io
 import json
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import horadam
-from horadam import gen_fib, registry
+from horadam import RecurrenceParams, gen_fib, horadam_eval, registry
 from horadam.cli import _decimal_digits, main
 from horadam.exact import _STR_BITS, unlimited_int_digits
 
@@ -192,6 +194,172 @@ class TestSeq:
         monkeypatch.setattr(registry, "Fraction", mock.Mock(side_effect=AssertionError("Fraction reached")))
         assert run_cli(capsys, "seq", "--r", "1e1000000", "--s", "1", "0..2") == (
             2, "", "error: fraction '1e1000000' has an exponent of magnitude above 10000\n")
+
+
+def seq_argv(a, b, r, s, lo, hi, *extra):
+    return ["seq", f"--a={a}", f"--b={b}", f"--r={r}", f"--s={s}", f"--from={lo}", f"--to={hi}", *extra]
+
+
+def printed_values(out):
+    return [v["value"] for v in json.loads(out)["results"]["values"]]
+
+
+def list_route(name, params, lo, hi, fmt):
+    """A seq record as the list-of-dicts route writes it: every value a dict of
+    str(horadam_eval(...)), then json.dumps(indent=2) or one csv.writer row per
+    flattened key."""
+    record = {
+        "command": "seq",
+        "params": {"name": name, **{field: str(getattr(params, field)) for field in "abrs"},
+                   "from": lo, "to": hi},
+        "results": {"values": [{"index": n, "value": str(horadam_eval(params, n))} for n in range(lo, hi + 1)]},
+    }
+    if fmt == "json":
+        return json.dumps(record, indent=2) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["key", "value"])
+    for key, value in flatten(record):
+        writer.writerow([key, "" if value is None else str(value)])
+    return out.getvalue()
+
+
+class TestSeqWalk:
+    """seq's printed values against str() of the Fraction iteration in horadam_eval."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(a=st.integers(-9, 9), b=st.integers(-9, 9), r=st.integers(-9, 9),
+           s=st.integers(-9, 9).filter(bool), lo=st.integers(-60, 60), width=st.integers(1, 25))
+    def test_every_value_is_str_of_eval(self, a, b, r, s, lo, width):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(seq_argv(a, b, r, s, lo, lo + width - 1))
+        params = RecurrenceParams(a, b, r, s)
+        assert code == 0
+        assert printed_values(out.getvalue()) == [str(horadam_eval(params, n)) for n in range(lo, lo + width)]
+
+    @pytest.mark.parametrize("a,b,r,s,lo,hi", [
+        (0, 0, -2, -3, 0, 12),   # all zero: every product is -0 in decimal
+        (0, 0, -1, -1, -12, 12),
+        (-1, 0, -1, 0, 0, 8),    # s = 0: 0 * H(n) carries H(n)'s sign
+        (-1, -1, 0, 0, 0, 8),
+        (1, 1, 1, -1, -13, 13),  # crosses zero in both directions, period 6
+        (1, 0, -1, -1, -13, 13),
+        (4, 2, 2, -1, -9, 9),    # an arithmetic progression through 0
+    ])
+    def test_zero_prints_without_sign(self, capsys, a, b, r, s, lo, hi):
+        values = printed_values(run_cli(capsys, *seq_argv(a, b, r, s, lo, hi))[1])
+        assert "0" in values and "-0" not in values
+        assert values == [str(horadam_eval(RecurrenceParams(a, b, r, s), n)) for n in range(lo, hi + 1)]
+
+    def test_window_above_the_split_size(self, capsys):
+        # H(20000) for (2, -7, 3, 1) has about 34,500 bits, so H(lo) is converted by the split.
+        lo, hi = 20_000, 20_004
+        prev, cur = 2, -7
+        for _ in range(lo):
+            prev, cur = cur, 3 * cur + prev
+        expected = []
+        for _ in range(lo, hi + 1):
+            expected.append(prev)
+            prev, cur = cur, 3 * cur + prev
+        assert abs(expected[0]).bit_length() > _STR_BITS
+        with unlimited_int_digits():
+            expected = [str(value) for value in expected]
+        assert printed_values(run_cli(capsys, *seq_argv(2, -7, 3, 1, lo, hi))[1]) == expected
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("a,b,r,s,lo,hi", [
+        ("0", "1", "1", "1", 0, 90),            # integral
+        ("2", "-7", "3", "-1", -40, 40),        # integral below 0: s = -1
+        ("0", "1", "4", "3", -6, 6),            # Fractions below 0 only
+        ("1/2", "3", "7/2", "-2/3", -5, 12),    # rational throughout
+        ("0", "1", "2", "1", 7, 7),             # a single value
+    ])
+    def test_bytes_match_the_list_route(self, capsys, monkeypatch, a, b, r, s, lo, hi, fmt):
+        monkeypatch.delenv("HORADAM_REGISTRY", raising=False)
+        params = RecurrenceParams(*(Fraction(text) for text in (a, b, r, s)))
+        code, out, err = run_cli(capsys, *seq_argv(a, b, r, s, lo, hi, "--format", fmt))
+        assert (code, err) == (0, "")
+        assert out == list_route(None, params, lo, hi, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_name_that_needs_escaping(self, capsys, tmp_path, fmt):
+        name = 'a"b,cé'
+        path = tmp_path / "reg.json"
+        path.write_text(json.dumps([{"name": name, "a": "3", "b": "-1", "r": "2", "s": "-1"}]))
+        code, out, err = run_cli(capsys, "seq", name, "--from=-10", "--to=10", "--registry", str(path),
+                                 "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == list_route(name, RecurrenceParams(3, -1, 2, -1), -10, 10, fmt)
+
+
+#: seq errors, one per kind: empty range, backward with s = 0, unknown name, bad range, bad fraction.
+SEQ_ERRORS = [
+    ("seq", "fibonacci", "5..4"),
+    ("seq", "--r", "3", "--s", "0", "--from=-2", "--to=0"),
+    ("seq", "nosuch", "0..3"),
+    ("seq", "fibonacci", "0-10"),
+    ("seq", "--r", "x", "--s", "1", "0..3"),
+]
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose writes raise OSError once `limit` characters are written.
+    It keeps the decimal context current at each write: the caller's code runs there."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+        self.contexts = []
+
+    def write(self, text):
+        self.contexts.append(decimal.getcontext())
+        if self.tell() + len(text) > self.limit:
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+
+class TestSeqStreaming:
+    """seq writes its values as it walks: nothing before validation, nothing left behind."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", SEQ_ERRORS, ids=[" ".join(a) for a in SEQ_ERRORS])
+    def test_error_before_the_first_byte(self, capsys, monkeypatch, argv, fmt):
+        monkeypatch.delenv("HORADAM_REGISTRY", raising=False)
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+    def test_failed_write_leaves_the_callers_decimal_context(self, capsys, monkeypatch):
+        monkeypatch.delenv("HORADAM_REGISTRY", raising=False)
+        argv = ["seq", "fibonacci", "--from=-5", "--to=30"]
+        with decimal.localcontext() as caller:
+            decimal.getcontext().prec = 5
+            before = (caller.prec, caller.Emax, caller.Emin, dict(caller.traps), dict(caller.flags))
+            stdout, err = FailingStdout(400), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(err):
+                assert main(argv) == 2
+            assert 0 < len(stdout.getvalue()) <= 400
+            assert stdout.contexts and all(context is caller for context in stdout.contexts)
+            assert err.getvalue() == "error: [Errno 28] No space left on device\n"
+            assert decimal.getcontext() is caller
+            assert (caller.prec, caller.Emax, caller.Emin, dict(caller.traps), dict(caller.flags)) == before
+            code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / "seq_fibonacci_from-5_to30.json").read_bytes().decode()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_one_call_leaves_no_garbage(self, capsys, fmt):
+        # An indented json.dumps leaves its pure-Python encoder as a 33-object cycle.
+        argv = ["seq", "fibonacci", "--from=-5", "--to=30", "--format", fmt]
+        main(argv)
+        gc.collect()
+        gc.disable()
+        try:
+            main(argv)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        capsys.readouterr()
 
 
 class TestDerive:
@@ -506,7 +674,10 @@ class TestOptimizedInterpreter:
         (("verify", "--defaults", "--n-max", "16"), "verify_defaults_n16.json"),
         (("derive", "--r", "2", "--s", "1", "--pattern", "+-+", "--n", "12", "--format", "csv"),
          "derive_pell_n12.csv"),
-    ], ids=["verify-defaults-16", "derive-pell-csv"])
+        (("seq", "fibonacci", "--from=-5", "--to=30"), "seq_fibonacci_from-5_to30.json"),
+        (("seq", "--a", "2", "--b", "1", "--r", "1", "--s", "1", "0..40", "--format", "csv"),
+         "seq_lucas_0_40.csv"),
+    ], ids=["verify-defaults-16", "derive-pell-csv", "seq-fibonacci", "seq-lucas-csv"])
     def test_output_is_pinned(self, argv, golden):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(horadam.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))

@@ -354,9 +354,11 @@ class TestDecimalText:
     @given(bits=st.integers(_STR_BITS + 1, 80_000), seed=st.integers(0, 2 ** 32), negative=st.booleans())
     def test_fractions_with_huge_terms(self, bits, seed, negative):
         # The shape of a rational pair's h(n) at a large index: both terms above the threshold.
+        # The denominator k*numerator + 1 is coprime to the numerator, so Fraction cannot
+        # reduce either term below it (a random pair with a common factor could).
         rng = random.Random(seed)
         numerator = rng.getrandbits(bits) | 1 << bits
-        value = Fraction(-numerator if negative else numerator, rng.getrandbits(bits) | 1 << bits | 1)
+        value = Fraction(-numerator if negative else numerator, (rng.getrandbits(64) | 1) * numerator + 1)
         assert value.numerator.bit_length() > _STR_BITS and value.denominator.bit_length() > _STR_BITS
         assert decimal_text(value) == str(value)
 

@@ -269,10 +269,18 @@ class TestIntegerWalkOracle:
         for n, window in zip(range(lo, lo + width), windows):
             assert window == tuple(horadam_eval(unit, k) for k in range(n - 3, n + 3))
 
+    @pytest.mark.parametrize("a,b,r,s", [(0, 1, 1, 1), (2, -7, 3, -1), (-4, 5, -6, 1), (1, 1, 0, -1), (0, 0, -2, -1)])
+    def test_unit_s_walks_back_on_ints(self, a, b, r, s):
+        # With s = +-1 the backward step multiplies by 1/s = s, so integral seeds stay ints below 0.
+        params = RecurrenceParams(a, b, r, s)
+        values = list(islice(sequences._values(params, -40), 40))
+        assert all(type(v) is int for v in values)
+        assert values == [horadam_eval(params, n) for n in range(-40, 0)]
+
     @pytest.mark.parametrize("s", [1, -1, 3, -2])
     def test_integral_pairs_walk_on_ints(self, s):
         # From index 0 on, an integral pair walks on ints, also after the backward
-        # step has given Fractions below 0: the windows at n = -4..5 end at h(2)..h(7).
+        # step has given Fractions below 0 (s = 3, -2): the windows at n = -4..5 end at h(2)..h(7).
         *_, last = islice(sequences.h_windows(2, s, -4), 10)
         assert all(type(v) is int for v in last)
         assert all(type(v) is int for v in next(sequences.h_windows(2, s, 3)))
